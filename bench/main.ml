@@ -8,7 +8,8 @@
 
    Usage: dune exec bench/main.exe [-- --fast] [--json FILE]
    --fast runs the campus corpus at 10% scale (the full 11,088-ACL
-   corpus takes about half a minute); --json additionally writes the
+   corpus takes about half a minute) and skips the 1000-router BGP
+   simulation leg; --json additionally writes the
    per-experiment Obs snapshots and Bechamel timings as a
    machine-readable BENCH.json (schema clarify-bench/1) for
    `clarify obs diff`. *)
@@ -828,6 +829,51 @@ let run_fleet_scaling () =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fleet simulation: BGP to a fixpoint on synthesized configs         *)
+(* ------------------------------------------------------------------ *)
+
+(* Simulator.run alone, on a fat-tree whose routers E5 synthesized:
+   256 routers (min of 3) and, without --fast, 1000 routers (one run).
+   Every timed run must converge and pass all four Netgen.check
+   probes. *)
+let run_fleet_simulate () =
+  Format.printf "=== Fleet simulation: BGP on E5-synthesized configs ===@.";
+  let leg routers runs =
+    let net = Netgen.generate ~profile:Netgen.Fat_tree ~routers in
+    let synthesized = Evaluation.E5_fleet.run ~pool ~routers () in
+    let topo =
+      Netgen.install net
+        (List.map
+           (fun (x : Evaluation.E5_fleet.router_result) -> (x.router, x.config))
+           synthesized.Evaluation.E5_fleet.results)
+    in
+    let best = ref infinity and rounds = ref 0 in
+    for _ = 1 to runs do
+      Gc.full_major ();
+      let state, ns = wall_ns (fun () -> Netsim.Simulator.run topo) in
+      let checks = Netgen.check net state in
+      if
+        not
+          (state.Netsim.Simulator.converged
+          && List.length checks = 4
+          && List.for_all (fun (c : Netgen.check) -> c.ok) checks)
+      then
+        failwith (Printf.sprintf "simulate-%d: a fleet probe failed" routers);
+      rounds := state.Netsim.Simulator.rounds;
+      best := Float.min !best ns
+    done;
+    Format.printf
+      "simulate fat-tree %4d routers %9.1f ms  (%d rounds, 4/4 probes, min \
+       of %d)@."
+      routers (!best /. 1e6) !rounds runs;
+    (Printf.sprintf "fleet/simulate-%d" routers, !best)
+  in
+  let small = leg 256 3 in
+  let large = if fast then [] else [ leg 1000 1 ] in
+  Format.printf "@.";
+  small :: large
+
+(* ------------------------------------------------------------------ *)
 (* Scheduler skew: coarse fork-join chunks vs per-item stealing       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1164,6 +1210,7 @@ let () =
   let parallel_timings = run_parallel_comparison () in
   let obs_timings = run_obs_overhead () in
   let fleet_timings = run_fleet_scaling () in
+  let simulate_timings = run_fleet_simulate () in
   let sched_timings = run_sched_skew () in
   let fleet_skew_timings = run_fleet_skew () in
   let timings = run_benchmarks () in
@@ -1171,6 +1218,6 @@ let () =
     (fun path ->
       write_bench_json path
         (timings @ bdd_timings @ disambig_timings @ batch_timings
-       @ parallel_timings @ obs_timings @ fleet_timings @ sched_timings
-       @ fleet_skew_timings))
+       @ parallel_timings @ obs_timings @ fleet_timings @ simulate_timings
+       @ sched_timings @ fleet_skew_timings))
     json_out

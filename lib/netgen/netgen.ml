@@ -245,10 +245,7 @@ let generate ~profile ~routers =
 
 let find_node t name = List.find_opt (fun n -> n.name = name) t.nodes
 
-let install t configs =
-  List.fold_left
-    (fun topo (name, db) -> Netsim.Topology.with_config topo name db)
-    t.topology configs
+let install t configs = Netsim.Topology.with_configs t.topology configs
 
 let site_community _t node =
   (* Cores and backbone routers share the spine tag; each pod/site gets

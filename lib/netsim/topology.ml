@@ -28,24 +28,35 @@ let router ?(originated = []) ?(neighbors = [])
 
 let neighbor ?(import = []) ?(export = []) peer = { peer; import; export }
 
+(* Linear in the number of sessions: names and sessions are looked up
+   in hash tables. *)
 let make routers =
-  let names = List.map (fun r -> r.name) routers in
-  let dup =
-    List.exists
-      (fun n -> List.length (List.filter (( = ) n) names) > 1)
-      names
-  in
-  if dup then fail "duplicate router name";
+  let by_name = Hashtbl.create (List.length routers) in
+  List.iter
+    (fun r ->
+      if Hashtbl.mem by_name r.name then fail "duplicate router name";
+      Hashtbl.add by_name r.name ())
+    routers;
+  (* One session per (router, peer): a peer listed twice would make two. *)
+  let sessions = Hashtbl.create (List.length routers) in
   List.iter
     (fun r ->
       List.iter
         (fun nb ->
-          if not (List.mem nb.peer names) then
+          if Hashtbl.mem sessions (r.name, nb.peer) then
+            fail "router %s lists neighbor %s twice" r.name nb.peer;
+          Hashtbl.add sessions (r.name, nb.peer) ())
+        r.neighbors)
+    routers;
+  List.iter
+    (fun r ->
+      List.iter
+        (fun nb ->
+          if not (Hashtbl.mem by_name nb.peer) then
             fail "router %s has unknown neighbor %s" r.name nb.peer;
           (* Sessions must be bidirectional. *)
-          let peer = List.find (fun x -> x.name = nb.peer) routers in
-          if not (List.exists (fun nb' -> nb'.peer = r.name) peer.neighbors)
-          then fail "session %s -> %s is not bidirectional" r.name nb.peer;
+          if not (Hashtbl.mem sessions (nb.peer, r.name)) then
+            fail "session %s -> %s is not bidirectional" r.name nb.peer;
           (* Referenced route-maps must exist on this router. *)
           List.iter
             (fun m ->
@@ -63,13 +74,18 @@ let find t name =
 
 let router_names t = List.map (fun r -> r.name) t.routers
 
-(** Replace one router's configuration (e.g. after an incremental
-    update synthesized a new route-map). *)
-let with_config t name config =
+(** Replace the configurations of the named routers (e.g. after
+    incremental updates synthesized new route-maps), in one pass. *)
+let with_configs t configs =
+  let table = Hashtbl.create (List.length configs) in
+  List.iter (fun (name, config) -> Hashtbl.replace table name config) configs;
   {
     routers =
       List.map
-        (fun r -> if r.name = name then { r with config } else r)
+        (fun r ->
+          match Hashtbl.find_opt table r.name with
+          | Some config -> { r with config }
+          | None -> r)
         t.routers;
   }
 

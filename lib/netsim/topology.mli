@@ -33,13 +33,18 @@ val neighbor : ?import:string list -> ?export:string list -> string -> neighbor
 
 val make : router list -> t
 (** Validates the topology. @raise Invalid_topology on duplicate router
-    names, unknown neighbors, unidirectional sessions, or chains
-    referencing undefined route-maps. *)
+    names, unknown neighbors, unidirectional sessions, chains
+    referencing undefined route-maps, or a peer listed twice by one
+    router. *)
 
 val find : t -> string -> router
 (** @raise Invalid_topology when absent. *)
 
 val router_names : t -> string list
-val with_config : t -> string -> Config.Database.t -> t
+val with_configs : t -> (string * Config.Database.t) list -> t
+(** Replace the configurations of the named routers in one pass; a
+    later binding for the same name wins and unknown names are
+    ignored. *)
+
 val with_router : t -> router -> t
 val pp : Format.formatter -> t -> unit

@@ -31,11 +31,21 @@ let test_topology_validation () =
      Alcotest.fail "expected Invalid_topology"
    with Topology.Invalid_topology _ -> ());
   (* Undefined route-map rejected. *)
+  (try
+     ignore
+       (Topology.make
+          [
+            r "A" ~neighbors:[ Topology.neighbor "B" ~import:[ "NOPE" ] ];
+            r "B" ~neighbors:[ Topology.neighbor "A" ];
+          ]);
+     Alcotest.fail "expected Invalid_topology"
+   with Topology.Invalid_topology _ -> ());
+  (* A peer listed twice rejected: it would make two sessions. *)
   try
     ignore
       (Topology.make
          [
-           r "A" ~neighbors:[ Topology.neighbor "B" ~import:[ "NOPE" ] ];
+           r "A" ~neighbors:[ Topology.neighbor "B"; Topology.neighbor "B" ];
            r "B" ~neighbors:[ Topology.neighbor "A" ];
          ]);
     Alcotest.fail "expected Invalid_topology"
@@ -74,20 +84,22 @@ let test_line_propagation () =
   check "A reaches C" true
     (Simulator.reaches state ~router:"A" ~prefix:(pfx "33.0.0.0/8"))
 
+(* A triangle, one originator. *)
+let loop_topology () =
+  Topology.make
+    [
+      Topology.router "A" ~asn:1 ~router_ip:(ip "1.0.0.1")
+        ~originated:[ pfx "11.0.0.0/8" ]
+        ~neighbors:[ Topology.neighbor "B"; Topology.neighbor "C" ];
+      Topology.router "B" ~asn:2 ~router_ip:(ip "2.0.0.1")
+        ~neighbors:[ Topology.neighbor "A"; Topology.neighbor "C" ];
+      Topology.router "C" ~asn:3 ~router_ip:(ip "3.0.0.1")
+        ~neighbors:[ Topology.neighbor "A"; Topology.neighbor "B" ];
+    ]
+
 let test_loop_prevention () =
-  (* Triangle where every router originates; no as-path loops appear. *)
-  let t =
-    Topology.make
-      [
-        Topology.router "A" ~asn:1 ~router_ip:(ip "1.0.0.1")
-          ~originated:[ pfx "11.0.0.0/8" ]
-          ~neighbors:[ Topology.neighbor "B"; Topology.neighbor "C" ];
-        Topology.router "B" ~asn:2 ~router_ip:(ip "2.0.0.1")
-          ~neighbors:[ Topology.neighbor "A"; Topology.neighbor "C" ];
-        Topology.router "C" ~asn:3 ~router_ip:(ip "3.0.0.1")
-          ~neighbors:[ Topology.neighbor "A"; Topology.neighbor "B" ];
-      ]
-  in
+  (* No as-path loops appear on the triangle. *)
+  let t = loop_topology () in
   let state = Simulator.run t in
   check "converged" true state.Simulator.converged;
   List.iter
@@ -250,18 +262,18 @@ let test_reference_details () =
   check "dc reaches isp1 space" true
     (Simulator.reaches state ~router:"DC" ~prefix:Figure3.isp1_prefix)
 
+let figure3_placeholders () =
+  Figure3.topology
+    ~r1_config:(Figure3.placeholder_maps Figure3.r1_maps)
+    ~r2_config:(Figure3.placeholder_maps Figure3.r2_maps)
+    ~m_config:(Figure3.placeholder_maps Figure3.m_maps)
+    ~dc_config:Config.Database.empty
+
 let test_policies_fail_without_configs () =
   (* With empty border configs (implicit-deny placeholder maps removed:
      no import/export chains at all), reused prefixes leak and bogons
      reach the ISPs: the checker must notice. *)
-  let t =
-    Figure3.topology
-      ~r1_config:(Figure3.placeholder_maps Figure3.r1_maps)
-      ~r2_config:(Figure3.placeholder_maps Figure3.r2_maps)
-      ~m_config:(Figure3.placeholder_maps Figure3.m_maps)
-      ~dc_config:Config.Database.empty
-  in
-  let state = Simulator.run t in
+  let state = Simulator.run (figure3_placeholders ()) in
   let results = Policies.check_all state in
   (* Placeholder maps deny everything, so the service prefix cannot
      reach M: P2 and P3 fail. *)
@@ -404,6 +416,183 @@ let prop_simulation_deterministic =
           Simulator.rib a r.name = Simulator.rib b r.name)
         t.Topology.routers)
 
+(* ------------------------------------------------------------------ *)
+(* Equivalence with the re-offer-everything oracle                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [None] is the default bound; 1-3 stop early, so the delta rounds
+   must match the oracle's round for round. *)
+let round_bounds = [ None; Some 1; Some 2; Some 3 ]
+
+let same_state (a : Simulator.state) (b : Simulator.state) =
+  Simulator.Smap.equal (Simulator.Pmap.equal ( = )) a.ribs b.ribs
+  && a.rounds = b.rounds && a.converged = b.converged
+
+let check_same_as_oracle ?max_rounds name t =
+  check
+    (match max_rounds with
+    | None -> name
+    | Some k -> Printf.sprintf "%s, max_rounds %d" name k)
+    true
+    (same_state
+       (Simulator.run ?max_rounds t)
+       (Netsim_oracle.run ?max_rounds t))
+
+let test_oracle_fixed () =
+  List.iter
+    (fun (name, t) ->
+      List.iter
+        (fun max_rounds -> check_same_as_oracle ?max_rounds name (t ()))
+        round_bounds)
+    [
+      ("figure 3, reference configs", Figure3.reference);
+      ("figure 3, placeholder configs", figure3_placeholders);
+      ("line", line_topology);
+      ("loop", loop_topology);
+      ("ibgp full mesh", fun () -> ibgp_topology ~full_mesh:true);
+      ("ibgp partial mesh", fun () -> ibgp_topology ~full_mesh:false);
+    ]
+
+(* A generated fleet with E5-synthesized configs: profile, internal
+   routers, and an optional (heavy, factor) skew of the plans. *)
+let gen_fleet =
+  QCheck.Gen.(
+    triple
+      (oneofl [ Netgen.Fat_tree; Netgen.Wan ])
+      (int_range 8 96)
+      (opt (pair (int_range 1 4) (int_range 2 3))))
+
+let print_fleet (profile, routers, skew) =
+  Printf.sprintf "%s, %d routers%s"
+    (Netgen.profile_to_string profile)
+    routers
+    (match skew with
+    | None -> ""
+    | Some (heavy, factor) -> Printf.sprintf ", skew %d x%d" heavy factor)
+
+let synthesized_fleet (profile, routers, skew) =
+  let net = Netgen.generate ~profile ~routers in
+  let plans = Netgen.Policy.compile net in
+  let plans =
+    match skew with
+    | None -> plans
+    | Some (heavy, factor) -> Netgen.Policy.skew ~heavy ~factor plans
+  in
+  Evaluation.E5_fleet.reset_fleet ~routers:(List.length plans);
+  Netgen.install net
+    (List.map
+       (fun plan ->
+         let r = Evaluation.E5_fleet.build_router plan in
+         (r.Evaluation.E5_fleet.router, r.Evaluation.E5_fleet.config))
+       plans)
+
+let prop_fleets_match_oracle =
+  QCheck.Test.make ~name:"synthesized fleets: delta simulator = oracle"
+    ~count:10
+    (QCheck.make ~print:print_fleet gen_fleet)
+    (fun fleet ->
+      let t = synthesized_fleet fleet in
+      List.for_all
+        (fun max_rounds ->
+          same_state
+            (Simulator.run ?max_rounds t)
+            (Netsim_oracle.run ?max_rounds t))
+        round_bounds)
+
+(* ------------------------------------------------------------------ *)
+(* Non-convergence                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* BAD GADGET (Griffin, Shepherd and Wilfong): three ASes around an
+   origin, each preferring the two-hop path through its clockwise
+   neighbor over its direct path and accepting nothing longer. In
+   synchronous rounds all three switch to the neighbor's path at once,
+   each then loses the path it switched to, and all three fall back:
+   the RIBs oscillate forever. A tail A - D - E, where D accepts only
+   A's direct path, turns the oscillation into withdrawals: D and then
+   E lose the prefix every other round. *)
+let bad_gadget () =
+  let ring = [| "A"; "B"; "C" |] and asns = [| 1; 2; 3 |] in
+  let origin_asn = 100 in
+  let node i =
+    let next = (i + 1) mod 3 and prev = (i + 2) mod 3 in
+    let config =
+      parse_ok
+        (Printf.sprintf
+           {|
+ip as-path access-list VIA_NEXT permit ^%d_%d$
+route-map FROM_NEXT permit 10
+ match as-path VIA_NEXT
+ set local-preference 200
+route-map FROM_PREV deny 10
+|}
+           asns.(next) origin_asn)
+    in
+    Topology.router ring.(i) ~asn:asns.(i)
+      ~router_ip:(Netaddr.Ipv4.of_octets 10 0 0 (i + 1))
+      ~config
+      ~neighbors:
+        ([
+           Topology.neighbor "O";
+           Topology.neighbor ring.(next) ~import:[ "FROM_NEXT" ];
+           Topology.neighbor ring.(prev) ~import:[ "FROM_PREV" ];
+         ]
+        @ if i = 0 then [ Topology.neighbor "D" ] else [])
+  in
+  let direct_only =
+    parse_ok
+      {|
+ip as-path access-list DIRECT permit ^1_100$
+route-map FROM_A permit 10
+ match as-path DIRECT
+|}
+  in
+  Topology.make
+    ((Topology.router "O" ~asn:origin_asn ~router_ip:(ip "10.0.0.100")
+        ~originated:[ pfx "99.0.0.0/8" ]
+        ~neighbors:(List.map Topology.neighbor [ "A"; "B"; "C" ])
+     :: List.init 3 node)
+    @ [
+        Topology.router "D" ~asn:4 ~router_ip:(ip "10.0.0.4")
+          ~config:direct_only
+          ~neighbors:
+            [
+              Topology.neighbor "A" ~import:[ "FROM_A" ];
+              Topology.neighbor "E";
+            ];
+        Topology.router "E" ~asn:5 ~router_ip:(ip "10.0.0.5")
+          ~neighbors:[ Topology.neighbor "D" ];
+      ])
+
+let test_bad_gadget_diverges () =
+  let t = bad_gadget () in
+  List.iter
+    (fun max_rounds ->
+      let s = Simulator.run ~max_rounds t in
+      check "not converged" false s.Simulator.converged;
+      check_int "stopped at max_rounds" max_rounds s.Simulator.rounds;
+      check_same_as_oracle ~max_rounds "bad gadget" t)
+    [ 1; 2; 3; 10; Simulator.default_max_rounds ];
+  (* Even rounds hold the two-hop paths, odd rounds the direct ones. *)
+  let via k =
+    let s = Simulator.run ~max_rounds:k t in
+    Option.map
+      (fun (e : Simulator.rib_entry) -> e.learned_from)
+      (Simulator.lookup s ~router:"A" ~prefix:(pfx "99.0.0.0/8"))
+  in
+  check "direct after 1 round" true (via 1 = Some (Some "O"));
+  check "via B after 2 rounds" true (via 2 = Some (Some "B"));
+  check "direct after 3 rounds" true (via 3 = Some (Some "O"));
+  (* The withdrawals reach the end of the tail. *)
+  let e_reaches k =
+    Simulator.reaches
+      (Simulator.run ~max_rounds:k t)
+      ~router:"E" ~prefix:(pfx "99.0.0.0/8")
+  in
+  check "E reaches after 3 rounds" true (e_reaches 3);
+  check "E withdrawn after 4 rounds" false (e_reaches 4);
+  check "E reaches after 5 rounds" true (e_reaches 5)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -438,5 +627,12 @@ let () =
           Alcotest.test_case "details" `Quick test_reference_details;
           Alcotest.test_case "unconfigured network fails" `Quick
             test_policies_fail_without_configs;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "fixed topologies" `Quick test_oracle_fixed;
+          QCheck_alcotest.to_alcotest prop_fleets_match_oracle;
+          Alcotest.test_case "bad gadget diverges" `Quick
+            test_bad_gadget_diverges;
         ] );
     ]
