@@ -395,12 +395,11 @@ let run_disambig_comparison () =
       let db, target, stanza = ablation_scenario n in
       let naive, naive_ns =
         wall_ns (fun () ->
-            Engine.Compare_route_policies.adjacent_insertions ~naive:true ~db
-              ~target stanza)
+            Naive_differ.route_map_insertions ~db ~target stanza)
       in
       let incr, incr_ns =
         wall_ns (fun () ->
-            Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db
+            Engine.Compare_route_policies.adjacent_insertions ~db
               ~target stanza)
       in
       if naive <> incr then failwith "incremental sweep differs from naive";
@@ -415,7 +414,7 @@ let run_disambig_comparison () =
       if Parallel.Pool.domains pool > 1 then begin
         let pooled, pool_ns =
           wall_ns (fun () ->
-              Engine.Compare_route_policies.adjacent_insertions ~naive:false
+              Engine.Compare_route_policies.adjacent_insertions
                 ~pool ~db ~target stanza)
         in
         if pooled <> incr then failwith "pooled sweep differs from serial";
@@ -435,7 +434,7 @@ let run_disambig_comparison () =
      ratio to >= 5x. *)
   let db, target, stanza = ablation_scenario 128 in
   let reference =
-    Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db ~target
+    Engine.Compare_route_policies.adjacent_insertions ~db ~target
       stanza
   in
   let time_backend boxed =
@@ -446,7 +445,7 @@ let run_disambig_comparison () =
           (Symbdd.Bdd.Manager.create ~boxed ())
           (fun () ->
             wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions ~naive:false
+                Engine.Compare_route_policies.adjacent_insertions
                   ~db ~target stanza))
       in
       result := r;
@@ -747,7 +746,7 @@ let run_obs_overhead () =
   let db, target, stanza = ablation_scenario 128 in
   let sweep () =
     ignore
-      (Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db
+      (Engine.Compare_route_policies.adjacent_insertions ~db
          ~target stanza)
   in
   sweep ();
@@ -898,7 +897,7 @@ let run_sched_skew () =
               ablation_scenario (if i < heavy then w else w / 8))
         in
         let sweep (db, target, stanza) =
-          Engine.Compare_route_policies.adjacent_insertions ~naive:false ~db
+          Engine.Compare_route_policies.adjacent_insertions ~db
             ~target stanza
         in
         let serial = List.map sweep scenarios in

@@ -40,6 +40,21 @@ let append t e =
   let e = if e.seq = 0 then { e with seq = next_seq t } else e in
   make t.name (e :: t.entries)
 
+(** Insert an entry at position [pos] (0 = first); sequence numbers are
+    reassigned 10, 20, 30, ... preserving order. *)
+let insert_at t pos e =
+  let n = List.length t.entries in
+  if pos < 0 || pos > n then invalid_arg "Prefix_list.insert_at";
+  let before = List.filteri (fun i _ -> i < pos) t.entries in
+  let after = List.filteri (fun i _ -> i >= pos) t.entries in
+  {
+    t with
+    entries =
+      List.mapi
+        (fun i e -> { e with seq = (i + 1) * 10 })
+        (before @ (e :: after));
+  }
+
 (** Entry pairs whose ranges share at least one matched prefix.
     Conflicting pairs additionally disagree on the action. *)
 let overlapping_pairs t =

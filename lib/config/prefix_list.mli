@@ -25,6 +25,12 @@ val append : t -> entry -> t
 (** Append an entry, auto-assigning the next sequence number when the
     given one is 0. *)
 
+val insert_at : t -> int -> entry -> t
+(** Insert an entry at a 0-based position and renumber every entry 10,
+    20, 30, ..., mirroring {!Route_map.insert_at}. Raises
+    [Invalid_argument] when the position is outside
+    [0..length entries]. *)
+
 val overlapping_pairs : t -> (entry * entry) list
 (** Entry pairs whose ranges share at least one matched prefix. *)
 

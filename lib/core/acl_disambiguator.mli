@@ -12,7 +12,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   acl : Config.Acl.t;
@@ -29,15 +29,23 @@ val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
 
-val insert_rule_at : Config.Acl.t -> int -> Config.Acl.rule -> Config.Acl.t
-(** Insert at a position (0 = first) and resequence; alias of
-    {!Config.Acl.insert_at}. *)
+val family :
+  (Config.Acl.t, Config.Acl.rule, question) Disambig_common.family
+(** The ACL family of the placement core; its counters are
+    [acl_disambiguator.questions], [acl_disambiguator.boundaries] and
+    [acl_disambiguator.binary_search.probes]. *)
+
+val of_differences :
+  Config.Acl.t -> (int * Engine.Compare_acls.difference) list -> question list
+(** Boundary questions from an engine sweep of the given target. *)
 
 val boundaries :
-  ?pool:Parallel.Pool.t -> target:Config.Acl.t -> Config.Acl.rule -> question list
+  ?pool:Parallel.Pool.t ->
+  target:Config.Acl.t ->
+  Config.Acl.rule ->
+  question list
 (** All differing boundaries in position order, from one incremental
-    sweep of {!Engine.Compare_acls.adjacent_insertions} (naive
-    per-position comparison under [CLARIFY_NAIVE_BOUNDARIES=1]).
+    sweep of {!Engine.Compare_acls.adjacent_insertions}.
     [?pool] fans contiguous position chunks across worker domains. *)
 
 val run :

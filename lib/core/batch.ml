@@ -85,13 +85,14 @@ let item_prompt = function
 (* ------------------------------------------------------------------ *)
 
 let emit_session_start ~items ~rm_mode ~acl_mode ~max_attempts ~db =
+  let mode = Disambig_common.mode_to_string in
   Telemetry.emit ~kind:"session_start" (fun () ->
       [
         ("pipeline", Json.String "batch");
         ("target", Json.String "*");
         ("prompt", Json.String (String.concat "\n" (List.map item_prompt items)));
-        ("mode", Json.String (Pipeline.mode_to_string rm_mode));
-        ("acl_mode", Json.String (Pipeline.acl_mode_to_string acl_mode));
+        ("mode", Json.String (mode rm_mode));
+        ("acl_mode", Json.String (mode acl_mode));
         ("max_attempts", Json.Int max_attempts);
         ("config", Json.String (Config.Parser.to_string db));
         ( "items",
@@ -175,216 +176,152 @@ let cached_answer cache ~intent ~target view_of consult q =
 (* Phase 1: synthesize every intent                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One synthesized intent awaiting placement. [bounds] is filled in by
+   the phase-2 sweep: the candidate's boundaries against the original
+   target. *)
+type ('policy, 'candidate, 'q) pending = {
+  synth : ('policy, 'candidate) Pipeline.synthesized;
+  llm_calls : int;
+  mutable bounds : 'q list;
+}
+
 type synth =
-  | S_route_map of {
-      target : string;
-      stanza : Config.Route_map.stanza;
-      spec : Engine.Spec.t;
-      renaming : (string * string) list;
-      attempts : int;
-      history : string list;
-      llm_calls : int;
-    }
-  | S_acl of {
-      target : string;
-      rule : Config.Acl.rule;
-      attempts : int;
-      history : string list;
-      llm_calls : int;
-    }
+  | S_route_map of
+      ( Config.Route_map.t,
+        Engine.Spec.t * Naming.imported,
+        Disambiguator.question )
+      pending
+  | S_acl of (Config.Acl.t, Config.Acl.rule, Acl_disambiguator.question) pending
 
 exception Abort of error
 
 let fail intent reason = raise (Abort { intent; reason })
 
-(* Synthesize one intent against the accumulating database, exactly as
-   the sequential pipeline would: same target lookup, classification,
-   spec extraction and verify-repair loop, in the same order — so the
-   LLM call sequence (and any scheduled fault injections) lines up
-   one-to-one with N sequential runs. Importing a route-map snippet
-   only adds ancillary lists under fresh [D<k>] names; stanza
-   insertions never mint list names, so the renamings are the ones a
-   sequential run would produce too. *)
+(* Synthesize one intent against the accumulating database through the
+   sequential pipeline's own front half — same target lookup,
+   classification, spec extraction and verify-repair loop, in the same
+   order — so the LLM call sequence (and any scheduled fault
+   injections) lines up one-to-one with N sequential runs. Importing a
+   route-map snippet only adds ancillary lists under fresh [D<k>]
+   names; stanza insertions never mint list names, so the renamings are
+   the ones a sequential run would produce too. *)
 let synthesize_item ~llm ~max_attempts ~db k it =
   let calls_before = Llm.Mock_llm.total_calls llm in
+  let pending = function
+    | Error e -> fail k e
+    | Ok synth ->
+        {
+          synth;
+          llm_calls = Llm.Mock_llm.total_calls llm - calls_before;
+          bounds = [];
+        }
+  in
   match it with
-  | Route_map_update { target; prompt } -> (
-      (match Config.Database.route_map db target with
-      | None -> fail k (Pipeline.Target_not_found target)
-      | Some _ -> ());
-      match
-        Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-      with
-      | `Acl ->
-          fail k
-            (Pipeline.Wrong_query_type { expected = "route-map"; got = "acl" })
-      | `Route_map -> (
-          let entry = Llm.Prompt_db.retrieve `Route_map in
-          match
-            Obs.with_span "spec_extract" (fun () ->
-                Llm.Mock_llm.generate_spec llm prompt)
-          with
-          | Error m -> fail k (Pipeline.Spec_error m)
-          | Ok spec -> (
-              match
-                Pipeline.synthesis_loop llm ~max_attempts ~entry ~prompt ~spec
-              with
-              | Error e -> fail k e
-              | Ok (snippet, rm, attempts, history) -> (
-                  match
-                    Obs.with_span "import" (fun () ->
-                        Naming.import_route_map_snippet ~db ~snippet rm)
-                  with
-                  | Error m -> fail k (Pipeline.Snippet_shape m)
-                  | Ok { Naming.db = db'; stanza; renaming } ->
-                      ( db',
-                        S_route_map
-                          {
-                            target;
-                            stanza;
-                            spec;
-                            renaming;
-                            attempts;
-                            history;
-                            llm_calls =
-                              Llm.Mock_llm.total_calls llm - calls_before;
-                          } )))))
-  | Acl_update { target; prompt } -> (
-      (match Config.Database.acl db target with
-      | None -> fail k (Pipeline.Target_not_found target)
-      | Some _ -> ());
-      match
-        Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-      with
-      | `Route_map ->
-          fail k
-            (Pipeline.Wrong_query_type { expected = "acl"; got = "route-map" })
-      | `Acl -> (
-          let entry = Llm.Prompt_db.retrieve `Acl in
-          match Pipeline.acl_synthesis_loop llm ~max_attempts ~entry ~prompt with
-          | Error e -> fail k e
-          | Ok (rule, attempts, history) ->
-              ( db,
-                S_acl
-                  {
-                    target;
-                    rule;
-                    attempts;
-                    history;
-                    llm_calls = Llm.Mock_llm.total_calls llm - calls_before;
-                  } )))
+  | Route_map_update { target; prompt } ->
+      let p =
+        pending
+          (Pipeline.synthesize_route_map llm ~max_attempts ~db ~target ~prompt)
+      in
+      ((snd p.synth.candidate).Naming.db, S_route_map p)
+  | Acl_update { target; prompt } ->
+      let p =
+        pending (Pipeline.synthesize_acl llm ~max_attempts ~db ~target ~prompt)
+      in
+      (db, S_acl p)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: one engine sweep per target policy                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Group intent indices by (kind, target), preserving first-seen order. *)
-let group_targets synths =
+let group_targets items =
   let order = ref [] in
   let tbl = Hashtbl.create 8 in
-  Array.iteri
-    (fun k s ->
-      let key =
-        match s with
-        | S_route_map { target; _ } -> ("route_map", target)
-        | S_acl { target; _ } -> ("acl", target)
-      in
+  List.iteri
+    (fun k it ->
+      let key = (item_kind it, item_target it) in
       match Hashtbl.find_opt tbl key with
       | None ->
           order := key :: !order;
           Hashtbl.add tbl key [ k ]
       | Some ks -> Hashtbl.replace tbl key (k :: ks))
-    synths;
+    items;
   List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order
 
-(* Run the multi-stanza engine sweep for every group. Returns the
-   per-intent boundary sets (original-target coordinates), the
-   per-intent overlap flags, and the conflict edges in input order. *)
-let sweep_groups ?pool ~db synths =
-  let n = Array.length synths in
-  let rm_bounds = Array.make n [] in
-  let acl_bounds = Array.make n [] in
-  let overlapping = Array.make n false in
+(* Run the multi-candidate engine sweep for every group, filling in each
+   pending intent's boundaries. Returns the per-intent overlap flags,
+   the conflict edges in input order, the overlapping pair count and
+   the group count. *)
+let sweep_groups ?pool ~db items synths =
+  let overlapping = Array.make (Array.length synths) false in
   let conflicts = ref [] in
   let overlap_pairs = ref 0 in
-  let groups = group_targets synths in
+  let groups = group_targets items in
   List.iter
-    (fun ((kind, target), ks) ->
+    (fun ((_, target), ks) ->
       let ks_arr = Array.of_list ks in
-      let mark_overlaps overlaps =
+      (* Store a group's sweep: candidate-local boundary sets, then the
+         overlapping and conflicting pairs in input indices. *)
+      let record pendings of_differences per_candidate overlaps cs witness =
+        List.iteri
+          (fun local p -> p.bounds <- of_differences per_candidate.(local))
+          pendings;
         List.iter
           (fun (i, j) ->
             incr overlap_pairs;
             overlapping.(ks_arr.(i)) <- true;
             overlapping.(ks_arr.(j)) <- true)
-          overlaps
+          overlaps;
+        List.iter
+          (fun (i, j, d) ->
+            conflicts :=
+              {
+                intent_a = ks_arr.(i);
+                intent_b = ks_arr.(j);
+                target;
+                witness = witness d;
+              }
+              :: !conflicts)
+          cs
       in
-      match kind with
-      | "route_map" ->
-          let target_map =
-            match Config.Database.route_map db target with
-            | Some m -> m
-            | None -> assert false (* checked during synthesis *)
-          in
-          let stanzas =
+      match synths.(List.hd ks) with
+      | S_route_map _ ->
+          let ps =
             List.map
               (fun k ->
                 match synths.(k) with
-                | S_route_map { stanza; _ } -> stanza
+                | S_route_map p -> p
                 | S_acl _ -> assert false)
               ks
           in
+          let target_map = Option.get (Config.Database.route_map db target) in
           let sw =
             Engine.Compare_route_policies.batch_insertions ?pool ~db
-              ~target:target_map stanzas
+              ~target:target_map
+              (List.map (fun p -> (snd p.synth.candidate).Naming.stanza) ps)
           in
-          Array.iteri
-            (fun local k -> rm_bounds.(k) <- sw.per_candidate.(local))
-            ks_arr;
-          mark_overlaps sw.overlaps;
-          List.iter
-            (fun (i, j, d) ->
-              conflicts :=
-                {
-                  intent_a = ks_arr.(i);
-                  intent_b = ks_arr.(j);
-                  target;
-                  witness = Route_witness d;
-                }
-                :: !conflicts)
-            sw.conflicts
-      | _ ->
-          let target_acl =
-            match Config.Database.acl db target with
-            | Some a -> a
-            | None -> assert false
-          in
-          let rules =
+          record ps
+            (Disambiguator.of_differences target_map)
+            sw.per_candidate sw.overlaps sw.conflicts
+            (fun d -> Route_witness d)
+      | S_acl _ ->
+          let ps =
             List.map
               (fun k ->
                 match synths.(k) with
-                | S_acl { rule; _ } -> rule
+                | S_acl p -> p
                 | S_route_map _ -> assert false)
               ks
           in
+          let target_acl = Option.get (Config.Database.acl db target) in
           let sw =
-            Engine.Compare_acls.batch_insertions ?pool ~target:target_acl rules
+            Engine.Compare_acls.batch_insertions ?pool ~target:target_acl
+              (List.map (fun p -> p.synth.candidate) ps)
           in
-          Array.iteri
-            (fun local k -> acl_bounds.(k) <- sw.per_candidate.(local))
-            ks_arr;
-          mark_overlaps sw.overlaps;
-          List.iter
-            (fun (i, j, d) ->
-              conflicts :=
-                {
-                  intent_a = ks_arr.(i);
-                  intent_b = ks_arr.(j);
-                  target;
-                  witness = Acl_witness d;
-                }
-                :: !conflicts)
-            sw.conflicts)
+          record ps
+            (Acl_disambiguator.of_differences target_acl)
+            sw.per_candidate sw.overlaps sw.conflicts
+            (fun d -> Acl_witness d))
     groups;
   let conflicts =
     List.sort
@@ -394,24 +331,19 @@ let sweep_groups ?pool ~db synths =
         | c -> c)
       !conflicts
   in
-  (rm_bounds, acl_bounds, overlapping, conflicts, !overlap_pairs, List.length groups)
+  (overlapping, conflicts, !overlap_pairs, List.length groups)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: place every stanza, in input order                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The evolving shape of one target policy: which current slot holds
-   which original stanza. [`New] slots are earlier batch insertions;
+   which original entry. [New] slots are earlier batch insertions;
    original positions shift past them when precomputed boundaries are
    translated to current coordinates. *)
 type slot = Orig of int | New
 
-type rm_state = {
-  mutable rmap : Config.Route_map.t;
-  mutable rslots : slot list;
-}
-
-type acl_state = { mutable aacl : Config.Acl.t; mutable aslots : slot list }
+type 'policy state = { mutable policy : 'policy; mutable slots : slot list }
 
 let rec insert_slot slots p =
   if p = 0 then New :: slots
@@ -422,13 +354,57 @@ let rec insert_slot slots p =
 
 (* Current index of each original position, for boundary translation.
    Only valid for match-disjoint (fast-path) intents: their boundary
-   regions are untouched by the [`New] stanzas they skip over. *)
+   regions are untouched by the [New] entries they skip over. *)
 let orig_index slots =
   let tbl = Hashtbl.create 16 in
   List.iteri
     (fun idx -> function Orig i -> Hashtbl.add tbl i idx | New -> ())
     slots;
   fun i -> Hashtbl.find tbl i
+
+(* Place one pending intent into its target's evolving policy: fast-path
+   intents reuse their phase-2 boundaries translated to current
+   coordinates, overlapping ones sweep the current policy live. *)
+let place (fam : (_, _, _) Disambig_common.family) states ~lookup ~mode ~fast
+    ~sweep ~oracle k ~target item bounds =
+  let st =
+    match Hashtbl.find_opt states target with
+    | Some st -> st
+    | None ->
+        let policy = Option.get (lookup target) in
+        let st =
+          {
+            policy;
+            slots =
+              List.init (Array.length (fam.seqs policy)) (fun i -> Orig i);
+          }
+        in
+        Hashtbl.add states target st;
+        st
+  in
+  let precomputed =
+    if not fast then None
+    else
+      let seqs = fam.seqs st.policy and idx = orig_index st.slots in
+      Some
+        (List.map
+           (fun q ->
+             let i = idx (fam.position q) in
+             fam.relocate q ~position:i ~boundary_seq:seqs.(i))
+           bounds)
+  in
+  match
+    Disambig_common.run fam ~mode ?precomputed
+      ~sweep:(fun () -> sweep st.policy)
+      ~target:st.policy item ~oracle
+  with
+  | Error _ -> fail k Pipeline.inconsistent
+  | Ok o ->
+      Pipeline.emit_placement ~position:o.position ~boundaries:o.boundaries
+        ~questions:(List.length o.questions);
+      st.policy <- o.policy;
+      st.slots <- insert_slot st.slots o.position;
+      o
 
 (* ------------------------------------------------------------------ *)
 (* The batch run                                                      *)
@@ -461,178 +437,76 @@ let run ?(max_attempts = default_max_attempts)
       in
       let synths = Array.of_list (List.rev synths_rev) in
       (* Phase 2: one engine sweep per target policy. *)
-      let rm_bounds, acl_bounds, overlapping, conflicts, overlap_pairs, groups
-          =
+      let overlapping, conflicts, overlap_pairs, groups =
         Obs.with_span "batch_sweep" (fun () ->
-            sweep_groups ?pool ~db:db_all synths)
+            sweep_groups ?pool ~db:db_all items synths)
       in
       emit_plan ~intents:nitems ~groups ~overlaps:overlap_pairs ~conflicts;
-      (* Phase 3: place stanzas in input order. *)
-      let rm_states : (string, rm_state) Hashtbl.t = Hashtbl.create 4 in
-      let acl_states : (string, acl_state) Hashtbl.t = Hashtbl.create 4 in
+      (* Phase 3: place entries in input order. *)
+      let rm_states = Hashtbl.create 4 and acl_states = Hashtbl.create 4 in
       let db_cur = ref db_all in
       let results =
         List.mapi
           (fun k it ->
             let fast = not overlapping.(k) in
             emit_item ~intent:k ~fast it;
+            let target = item_target it in
+            let ask view wrap =
+              cached_answer cache ~intent:k ~target view (fun q ->
+                  oracle ~intent:k ~target (wrap q))
+            in
             match synths.(k) with
-            | S_route_map
-                { target; stanza; spec; renaming; attempts; history; llm_calls }
-              -> (
-                let st =
-                  match Hashtbl.find_opt rm_states target with
-                  | Some st -> st
-                  | None ->
-                      let m =
-                        match Config.Database.route_map !db_cur target with
-                        | Some m -> m
-                        | None -> assert false
-                      in
-                      let st =
-                        {
-                          rmap = m;
-                          rslots =
-                            List.mapi
-                              (fun i _ -> Orig i)
-                              m.Config.Route_map.stanzas;
-                        }
-                      in
-                      Hashtbl.add rm_states target st;
-                      st
+            | S_route_map { synth = s; llm_calls; bounds } ->
+                let spec, { Naming.stanza; renaming; _ } = s.candidate in
+                let o =
+                  place Disambiguator.family rm_states
+                    ~lookup:(Config.Database.route_map !db_cur)
+                    ~mode:rm_mode ~fast
+                    ~sweep:(fun policy ->
+                      Disambiguator.boundaries ?pool ~db:!db_cur ~target:policy
+                        stanza)
+                    ~oracle:(ask Disambiguator.view (fun q -> Route_map_q q))
+                    k ~target stanza bounds
                 in
-                let precomputed =
-                  if not fast then None
-                  else
-                    let stanzas_cur =
-                      Array.of_list st.rmap.Config.Route_map.stanzas
-                    in
-                    let idx = orig_index st.rslots in
-                    Some
-                      (List.map
-                         (fun
-                           (i, (d : Engine.Compare_route_policies.difference))
-                         ->
-                           let i' = idx i in
-                           {
-                             Disambiguator.position = i';
-                             boundary_seq =
-                               stanzas_cur.(i').Config.Route_map.seq;
-                             route = d.route;
-                             if_new_first = d.result_a;
-                             if_old_first = d.result_b;
-                           })
-                         rm_bounds.(k))
+                db_cur := Config.Database.add_route_map !db_cur o.policy;
+                Route_map_result
+                  {
+                    Pipeline.db = !db_cur;
+                    map = o.policy;
+                    spec;
+                    stanza;
+                    renaming;
+                    synthesis_attempts = s.attempts;
+                    verification_history = s.history;
+                    llm_calls;
+                    questions = o.questions;
+                    position = o.position;
+                    boundaries = o.boundaries;
+                  }
+            | S_acl { synth = s; llm_calls; bounds } ->
+                let o =
+                  place Acl_disambiguator.family acl_states
+                    ~lookup:(Config.Database.acl !db_cur)
+                    ~mode:acl_mode ~fast
+                    ~sweep:(fun policy ->
+                      Acl_disambiguator.boundaries ?pool ~target:policy
+                        s.candidate)
+                    ~oracle:(ask Acl_disambiguator.view (fun q -> Acl_q q))
+                    k ~target s.candidate bounds
                 in
-                let ask =
-                  cached_answer cache ~intent:k ~target Disambiguator.view
-                    (fun q -> oracle ~intent:k ~target (Route_map_q q))
-                in
-                match
-                  Disambiguator.run ~mode:rm_mode ?pool ?precomputed
-                    ~db:!db_cur ~target:st.rmap ~stanza ~oracle:ask ()
-                with
-                | Error (Disambiguator.Inconsistent_intent _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
-                | Error (Disambiguator.Top_bottom_insufficient _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "top/bottom placement cannot satisfy the intent")
-                | Ok outcome ->
-                    Pipeline.emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    st.rmap <- outcome.Disambiguator.map;
-                    st.rslots <- insert_slot st.rslots outcome.position;
-                    db_cur :=
-                      Config.Database.add_route_map !db_cur outcome.map;
-                    Route_map_result
-                      {
-                        Pipeline.db = !db_cur;
-                        map = outcome.map;
-                        spec;
-                        stanza;
-                        renaming;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      })
-            | S_acl { target; rule; attempts; history; llm_calls } -> (
-                let st =
-                  match Hashtbl.find_opt acl_states target with
-                  | Some st -> st
-                  | None ->
-                      let a =
-                        match Config.Database.acl !db_cur target with
-                        | Some a -> a
-                        | None -> assert false
-                      in
-                      let st =
-                        {
-                          aacl = a;
-                          aslots =
-                            List.mapi (fun i _ -> Orig i) a.Config.Acl.rules;
-                        }
-                      in
-                      Hashtbl.add acl_states target st;
-                      st
-                in
-                let precomputed =
-                  if not fast then None
-                  else
-                    let rules_cur = Array.of_list st.aacl.Config.Acl.rules in
-                    let idx = orig_index st.aslots in
-                    Some
-                      (List.map
-                         (fun (i, (d : Engine.Compare_acls.difference)) ->
-                           let i' = idx i in
-                           {
-                             Acl_disambiguator.position = i';
-                             boundary_seq = rules_cur.(i').Config.Acl.seq;
-                             packet = d.packet;
-                             if_new_first = d.action_a;
-                             if_old_first = d.action_b;
-                           })
-                         acl_bounds.(k))
-                in
-                let ask =
-                  cached_answer cache ~intent:k ~target Acl_disambiguator.view
-                    (fun q -> oracle ~intent:k ~target (Acl_q q))
-                in
-                match
-                  Acl_disambiguator.run ~mode:acl_mode ?pool ?precomputed
-                    ~target:st.aacl ~rule ~oracle:ask ()
-                with
-                | Error (Acl_disambiguator.Inconsistent_intent _) ->
-                    fail k
-                      (Pipeline.Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
-                | Ok outcome ->
-                    Pipeline.emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    st.aacl <- outcome.Acl_disambiguator.acl;
-                    st.aslots <- insert_slot st.aslots outcome.position;
-                    db_cur := Config.Database.add_acl !db_cur outcome.acl;
-                    Acl_result
-                      {
-                        Pipeline.db = !db_cur;
-                        acl = outcome.acl;
-                        rule;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      }))
+                db_cur := Config.Database.add_acl !db_cur o.policy;
+                Acl_result
+                  {
+                    Pipeline.db = !db_cur;
+                    acl = o.policy;
+                    rule = s.candidate;
+                    synthesis_attempts = s.attempts;
+                    verification_history = s.history;
+                    llm_calls;
+                    questions = o.questions;
+                    position = o.position;
+                    boundaries = o.boundaries;
+                  })
           items
       in
       Ok
@@ -743,10 +617,7 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
                 ~oracle:ask ()
             with
             | Error (Prefix_list_disambiguator.Inconsistent_intent _) ->
-                fail k
-                  (Pipeline.Disambiguation_failed
-                     "answers are inconsistent: no single insertion point \
-                      implements this intent")
+                fail k Pipeline.inconsistent
             | Ok outcome ->
                 Hashtbl.replace states target
                   outcome.Prefix_list_disambiguator.prefix_list;

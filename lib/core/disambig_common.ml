@@ -1,9 +1,8 @@
-(* The machinery shared by the three insertion disambiguators
-   (route-maps, ACLs, prefix lists). Each instance keeps its own
-   domain-specific question type; everything below works through a
-   [view] that renders a question to the common telemetry shape, so the
-   question/probe event schema and the binary-search structure are
-   defined exactly once. *)
+(* The placement core shared by the three insertion disambiguators
+   (route-maps, ACLs, prefix lists). Each family keeps its own
+   domain-specific question type and boundary sweep; everything below
+   works through a [family] record, so the question/probe event schema,
+   the counters and the three search modes are defined exactly once. *)
 
 type answer = Prefer_new | Prefer_old
 
@@ -21,20 +20,72 @@ type view = {
   if_old_first : string;
 }
 
+type mode = Binary_search | Top_bottom | Linear
+
+let mode_to_string = function
+  | Binary_search -> "binary_search"
+  | Top_bottom -> "top_bottom"
+  | Linear -> "linear"
+
+let mode_of_string = function
+  | "binary_search" -> Some Binary_search
+  | "top_bottom" -> Some Top_bottom
+  | "linear" -> Some Linear
+  | _ -> None
+
+(* A family's three counters, registered under its metric prefix. *)
+type counters = {
+  questions : Obs.Counter.t;
+  boundaries : Obs.Counter.t;
+  probes : Obs.Counter.t;
+}
+
+let counters prefix =
+  let make name help = Obs.Counter.make (prefix ^ "." ^ name) ~help in
+  let questions = make "questions" "differential questions shown to the user" in
+  let boundaries =
+    make "boundaries" "differing insertion boundaries (overlaps) found"
+  in
+  let probes =
+    make "binary_search.probes" "binary-search iterations (search depth)"
+  in
+  { questions; boundaries; probes }
+
+(* What the core needs to know about one first-match policy family:
+   its telemetry identity, how to render and locate a question, and
+   how to insert a candidate into a policy. *)
+type ('policy, 'item, 'q) family = {
+  subsystem : string;
+  counters : counters;
+  view : 'q -> view;
+  position : 'q -> int;
+  relocate : 'q -> position:int -> boundary_seq:int -> 'q;
+  seqs : 'policy -> int array;
+  insert_at : 'policy -> int -> 'item -> 'policy;
+}
+
+(* A boundary sweep as every family runs it: one "find_boundaries"
+   span, and the boundaries counter bumped by what was found. *)
+let sweep fam f =
+  Obs.with_span "find_boundaries" @@ fun () ->
+  let bs = f () in
+  Obs.Counter.incr ~by:(List.length bs) fam.counters.boundaries;
+  bs
+
 (* A question-asking loop: accumulates questions in order, counts them,
    consults the oracle and emits one "question" event per exchange.
    Returns [(asked, ask)]; [asked ()] yields the questions asked so
    far, oldest first. *)
-let asker ~subsystem ~counter ~(view : 'q -> view) ~(oracle : 'q -> answer) =
+let asker fam ~(oracle : 'q -> answer) =
   let asked = ref [] in
   let ask q =
     asked := q :: !asked;
-    Obs.Counter.incr counter;
+    Obs.Counter.incr fam.counters.questions;
     let a = oracle q in
     Telemetry.emit ~kind:"question" (fun () ->
-        let v = view q in
+        let v = fam.view q in
         [
-          ("subsystem", Json.String subsystem);
+          ("subsystem", Json.String fam.subsystem);
           ("index", Json.Int (List.length !asked - 1));
           ("position", Json.Int v.position);
           ("boundary_seq", Json.Int v.boundary_seq);
@@ -54,14 +105,14 @@ let asker ~subsystem ~counter ~(view : 'q -> view) ~(oracle : 'q -> answer) =
    Returns the first Prefer_new index, or [Array.length arr] when every
    boundary prefers the old behaviour. One "probe" event and one probe
    counter tick per iteration. *)
-let binary_search ~subsystem ~probes ~(ask : 'q -> answer) (arr : 'q array) =
+let binary_search fam ~ask arr =
   let lo = ref 0 and hi = ref (Array.length arr) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    Obs.Counter.incr probes;
+    Obs.Counter.incr fam.counters.probes;
     Telemetry.emit ~kind:"probe" (fun () ->
         [
-          ("subsystem", Json.String subsystem);
+          ("subsystem", Json.String fam.subsystem);
           ("lo", Json.Int !lo);
           ("hi", Json.Int !hi);
           ("mid", Json.Int mid);
@@ -82,13 +133,60 @@ let monotone answers =
   in
   go false answers
 
-(* The placement implied by a monotone answer list: the first boundary
-   the user wants the new stanza to win, or [default] (append at the
-   bottom) when there is none. *)
-let first_new_position ~default ~position answers =
-  match List.find_opt (fun (_, a) -> a = Prefer_new) answers with
-  | Some (q, _) -> position q
-  | None -> default
+type ('policy, 'q) outcome = {
+  policy : 'policy;
+  position : int;
+  questions : 'q list;
+  boundaries : int;
+}
+
+let run fam ?(mode = Binary_search) ?precomputed ~sweep ~target item ~oracle =
+  let n = Array.length (fam.seqs target) in
+  let placed position questions boundaries =
+    let policy = fam.insert_at target position item in
+    Ok { policy; position; questions; boundaries }
+  in
+  (* Batch runs hand in boundaries they already translated from a
+     shared multi-candidate sweep; the counter still ticks so telemetry
+     matches a sequential run. *)
+  let boundaries () =
+    match precomputed with
+    | Some bs ->
+        Obs.Counter.incr ~by:(List.length bs) fam.counters.boundaries;
+        bs
+    | None -> sweep ()
+  in
+  let asked, ask = asker fam ~oracle in
+  match mode with
+  | Top_bottom -> (
+      (* The prototype's two placements, 0 and n, differ exactly when
+         some adjacent boundary does, and the first boundary's witness
+         is the example the two-extremes comparison finds first. *)
+      match boundaries () with
+      | [] -> placed n [] 0
+      | b :: _ ->
+          let q =
+            fam.relocate b ~position:0 ~boundary_seq:(fam.seqs target).(0)
+          in
+          let position = match ask q with Prefer_new -> 0 | Prefer_old -> n in
+          placed position (asked ()) 1)
+  | Binary_search ->
+      (* With no boundary every placement behaves the same, and the
+         empty search appends at the bottom. *)
+      let arr = Array.of_list (boundaries ()) in
+      let k = Array.length arr in
+      let hi = binary_search fam ~ask arr in
+      placed (if hi = k then n else fam.position arr.(hi)) (asked ()) k
+  | Linear -> (
+      let bs = boundaries () in
+      let answers = List.map (fun q -> (q, ask q)) bs in
+      if not (monotone answers) then Error (asked ())
+      else
+        (* The first boundary the user wants the new entry to win, or
+           the bottom when there is none. *)
+        match List.find_opt (fun (_, a) -> a = Prefer_new) answers with
+        | Some (q, _) -> placed (fam.position q) (asked ()) (List.length bs)
+        | None -> placed n (asked ()) (List.length bs))
 
 (* Shared answer cache for batch runs: when several intents in a batch
    surface the *same* placement question against the same policy, the

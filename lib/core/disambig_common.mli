@@ -1,11 +1,11 @@
-(** Machinery shared by the three insertion disambiguators
+(** The placement core shared by the three insertion disambiguators
     ({!Disambiguator} for route-maps, {!Acl_disambiguator},
     {!Prefix_list_disambiguator}).
 
-    Each instance keeps its own question type; the helpers here work
-    through a {!view} rendering, so the "question"/"probe" telemetry
-    schema and the binary-search structure exist in exactly one
-    place. *)
+    Each family keeps its own question type, boundary sweep and
+    oracles; the core works through a {!family} record, so the
+    "question"/"probe" telemetry schema, the counters and the three
+    search modes exist in exactly one place. *)
 
 type answer = Prefer_new | Prefer_old
 
@@ -24,35 +24,68 @@ type view = {
   if_old_first : string;
 }
 
-val asker :
-  subsystem:string ->
-  counter:Obs.Counter.t ->
-  view:('q -> view) ->
+type mode =
+  | Binary_search  (** the paper's Section 4 algorithm *)
+  | Top_bottom  (** the paper's prototype: only positions 0 and n *)
+  | Linear  (** ask every boundary; detects inconsistent intent *)
+
+val mode_to_string : mode -> string
+(** ["binary_search"] / ["top_bottom"] / ["linear"], as recorded in
+    [session_start] events. *)
+
+val mode_of_string : string -> mode option
+
+(** A family's counters. *)
+type counters = {
+  questions : Obs.Counter.t;
+  boundaries : Obs.Counter.t;
+  probes : Obs.Counter.t;
+}
+
+val counters : string -> counters
+(** [counters prefix] registers [<prefix>.questions],
+    [<prefix>.boundaries] and [<prefix>.binary_search.probes]. *)
+
+(** One first-match policy family, as the placement core sees it:
+    ['policy] is the ordered list (route-map, ACL, prefix list),
+    ['item] the entry being inserted, ['q] the family's question. *)
+type ('policy, 'item, 'q) family = {
+  subsystem : string;  (** ["route_map"], ["acl"], ["prefix_list"] *)
+  counters : counters;
+  view : 'q -> view;
+  position : 'q -> int;
+  relocate : 'q -> position:int -> boundary_seq:int -> 'q;
+      (** the same differential example, posed at another boundary *)
+  seqs : 'policy -> int array;  (** entry sequence numbers, in order *)
+  insert_at : 'policy -> int -> 'item -> 'policy;
+}
+
+val sweep : (_, _, 'q) family -> (unit -> 'q list) -> 'q list
+(** Run a boundary sweep inside a [find_boundaries] span and add what
+    it found to the family's boundaries counter. *)
+
+type ('policy, 'q) outcome = {
+  policy : 'policy;  (** the target with the entry inserted *)
+  position : int;
+  questions : 'q list;  (** in the order asked *)
+  boundaries : int;  (** differing boundaries found *)
+}
+
+val run :
+  ('policy, 'item, 'q) family ->
+  ?mode:mode ->
+  ?precomputed:'q list ->
+  sweep:(unit -> 'q list) ->
+  target:'policy ->
+  'item ->
   oracle:('q -> answer) ->
-  (unit -> 'q list) * ('q -> answer)
-(** [asker ~subsystem ~counter ~view ~oracle] is [(asked, ask)]: [ask]
-    records the question, bumps [counter], consults the oracle and
-    emits one [kind="question"] event; [asked ()] lists the questions
-    asked so far, oldest first. *)
-
-val binary_search :
-  subsystem:string ->
-  probes:Obs.Counter.t ->
-  ask:('q -> answer) ->
-  'q array ->
-  int
-(** The paper's Section 4 search over a monotone boundary array: the
-    index of the first boundary answered [Prefer_new], or the array
-    length when every answer was [Prefer_old]. Emits one
-    [kind="probe"] event and bumps [probes] per iteration. *)
-
-val monotone : ('q * answer) list -> bool
-(** Linear-mode consistency: no [Prefer_old] after a [Prefer_new]. *)
-
-val first_new_position :
-  default:int -> position:('q -> int) -> ('q * answer) list -> int
-(** The placement a monotone answer list implies: the position of the
-    first [Prefer_new] question, else [default]. *)
+  (('policy, 'q) outcome, 'q list) result
+(** Place [item] into [target] (DESIGN.md §11). The boundaries are
+    [?precomputed] (position order, in [target]'s coordinates) or come
+    from [sweep ()]. [Top_bottom] asks at most one question, the first
+    boundary's example posed at position 0, and reports one boundary.
+    [Error asked] is Linear mode finding non-monotone answers: no single
+    insertion point implements them (paper condition 3 fails). *)
 
 val scripted : answer list -> 'q -> answer
 (** Answers drawn from a fixed list; raises [Failure] when

@@ -24,10 +24,7 @@ type answer = Disambig_common.answer =
 
 type oracle = question -> answer
 
-type mode =
-  | Binary_search (* the paper's Section 4 algorithm *)
-  | Top_bottom (* the paper's prototype: only positions 0 and n *)
-  | Linear (* ask every boundary; detects inconsistent intent *)
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   map : Config.Route_map.t; (* the target with the stanza inserted *)
@@ -40,13 +37,24 @@ type error =
   | Inconsistent_intent of question list
       (** Linear mode found non-monotone answers: no single insertion
           point implements the user's wishes (paper condition 3 fails). *)
-  | Top_bottom_insufficient of question list
 
 val pp_question : Format.formatter -> question -> unit
 
 val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
+
+val family :
+  (Config.Route_map.t, Config.Route_map.stanza, question) Disambig_common.family
+(** The route-map family of the placement core; its counters are
+    [disambiguator.questions], [disambiguator.boundaries] and
+    [disambiguator.binary_search.probes]. *)
+
+val of_differences :
+  Config.Route_map.t ->
+  (int * Engine.Compare_route_policies.difference) list ->
+  question list
+(** Boundary questions from an engine sweep of the given target. *)
 
 val boundaries :
   ?pool:Parallel.Pool.t ->
@@ -56,8 +64,7 @@ val boundaries :
   question list
 (** All differing boundaries with their differential examples, in
     position order, from one incremental sweep of
-    {!Engine.Compare_route_policies.adjacent_insertions} (naive
-    per-position comparison under [CLARIFY_NAIVE_BOUNDARIES=1]).
+    {!Engine.Compare_route_policies.adjacent_insertions}.
     [?pool] fans contiguous position chunks across worker domains.
     Exposed for tests and the evaluation harness. *)
 

@@ -50,23 +50,13 @@ let default_max_attempts = 5
 
 (* Flight recorder (see DESIGN.md §Observability for the event schema).
    [Telemetry.emit] payload thunks are only forced while recording. *)
-let mode_to_string = function
-  | Disambiguator.Binary_search -> "binary_search"
-  | Disambiguator.Top_bottom -> "top_bottom"
-  | Disambiguator.Linear -> "linear"
-
-let acl_mode_to_string = function
-  | Acl_disambiguator.Binary_search -> "binary_search"
-  | Acl_disambiguator.Top_bottom -> "top_bottom"
-  | Acl_disambiguator.Linear -> "linear"
-
 let emit_session_start ~pipeline ~target ~prompt ~mode ~max_attempts ~db =
   Telemetry.emit ~kind:"session_start" (fun () ->
       [
         ("pipeline", Json.String pipeline);
         ("target", Json.String target);
         ("prompt", Json.String prompt);
-        ("mode", Json.String mode);
+        ("mode", Json.String (Disambig_common.mode_to_string mode));
         ("max_attempts", Json.Int max_attempts);
         ("config", Json.String (Config.Parser.to_string db));
       ])
@@ -116,17 +106,20 @@ let cex_loops_counter =
     ~help:"failed attempts fed back to the LLM as counterexamples"
 
 (* The verify-repair loop: ask the LLM for a snippet until it parses and
-   verifies against the spec, feeding failures back into the prompt. *)
-let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
-  Obs.with_span "synthesize" @@ fun () ->
+   [check] accepts it, feeding each rejection back into the prompt.
+   [check snippet] is [`Verified x], [`Retry (feedback, note)] — the
+   feedback goes to the LLM and the verify event, the note to the
+   verification history — or [`Fatal e], which ends the run. *)
+let repair_loop llm ~max_attempts ~entry ~prompt ~check =
   let rec attempt n ~feedback history =
     if n > max_attempts then Error (Verification_exhausted (List.rev history))
     else begin
       Obs.Counter.incr attempts_counter;
-      let loop_back msg history' =
+      let loop_back msg note =
         Obs.Counter.incr cex_loops_counter;
         emit_verify ~attempt:n msg;
-        attempt (n + 1) ~feedback:(Some msg) history'
+        attempt (n + 1) ~feedback:(Some msg)
+          (Printf.sprintf "attempt %d: %s" n note :: history)
       in
       let user =
         match feedback with
@@ -145,120 +138,197 @@ let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
       | Ok text -> (
           match Config.Parser.parse text with
           | Error m ->
-              loop_back ("syntax error: " ^ m)
-                (("attempt " ^ string_of_int n ^ ": syntax error: " ^ m)
-                :: history)
+              let msg = "syntax error: " ^ m in
+              loop_back msg msg
           | Ok snippet -> (
-              match Config.Database.route_maps snippet with
-              | [ rm ] -> (
-                  match
-                    Obs.with_span "verify" (fun () ->
-                        Obs.Counter.incr verification_counter;
-                        Engine.Search_route_policies.verify_stanza snippet rm
-                          spec)
-                  with
-                  | Engine.Search_route_policies.Verified ->
-                      emit_verify ~attempt:n "verified";
-                      Ok (snippet, rm, n, List.rev history)
-                  | verdict ->
-                      let msg =
-                        Format.asprintf "%a"
-                          Engine.Search_route_policies.pp_verdict verdict
-                      in
-                      loop_back msg
-                        (("attempt " ^ string_of_int n ^ ": " ^ msg) :: history))
-              | rms ->
-                  Error
-                    (Snippet_shape
-                       (Printf.sprintf "expected one route-map, found %d"
-                          (List.length rms)))))
+              match check snippet with
+              | `Verified x ->
+                  emit_verify ~attempt:n "verified";
+                  Ok (x, n, List.rev history)
+              | `Retry (msg, note) -> loop_back msg note
+              | `Fatal e -> Error e))
     end
   in
   attempt 1 ~feedback:None []
 
-(** Run one incremental route-map update end to end. *)
-let run_route_map_update ?(max_attempts = default_max_attempts)
-    ?(mode = Disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt () =
-  Obs.with_span "pipeline.route_map_update" @@ fun () ->
+let verifying f =
+  Obs.with_span "verify" (fun () ->
+      Obs.Counter.incr verification_counter;
+      f ())
+
+let synthesis_loop llm ~max_attempts ~entry ~prompt ~spec =
+  Obs.with_span "synthesize" @@ fun () ->
+  repair_loop llm ~max_attempts ~entry ~prompt ~check:(fun snippet ->
+      match Config.Database.route_maps snippet with
+      | [ rm ] -> (
+          match
+            verifying (fun () ->
+                Engine.Search_route_policies.verify_stanza snippet rm spec)
+          with
+          | Engine.Search_route_policies.Verified -> `Verified (snippet, rm)
+          | verdict ->
+              let msg =
+                Format.asprintf "%a" Engine.Search_route_policies.pp_verdict
+                  verdict
+              in
+              `Retry (msg, msg))
+      | rms ->
+          `Fatal
+            (Snippet_shape
+               (Printf.sprintf "expected one route-map, found %d"
+                  (List.length rms))))
+  |> Result.map (fun ((snippet, rm), n, history) -> (snippet, rm, n, history))
+
+(* For ACLs the intent itself is the spec: expected rule derived from
+   the parsed intent; verification compares header spaces and actions.
+   A wrong-shape snippet is retried, unlike a route-map's. *)
+let acl_synthesis_loop llm ~max_attempts ~entry ~prompt =
+  match
+    Obs.with_span "spec_extract" (fun () -> Llm.Nl_parser.parse `Acl prompt)
+  with
+  | Error e -> Error (Spec_error (Llm.Nl_parser.error_message e))
+  | Ok (Llm.Intent.Route_map _) -> assert false
+  | Ok (Llm.Intent.Acl intent) ->
+      Obs.with_span "synthesize" @@ fun () ->
+      let expected =
+        Config.Acl.rule ~seq:10 ~protocol:intent.Llm.Intent.protocol
+          ~src:intent.src ~src_port:intent.src_port ~dst:intent.dst
+          ~dst_port:intent.dst_port ~established:intent.established
+          intent.acl_action
+      in
+      let spec_space = Symbolic.Packet_space.of_rule expected in
+      let retry fmt p =
+        let msg = Format.asprintf fmt Config.Packet.pp p in
+        `Retry (msg, msg)
+      in
+      repair_loop llm ~max_attempts ~entry ~prompt ~check:(fun snippet ->
+          match Config.Database.acls snippet with
+          | [ { Config.Acl.rules = [ rule ]; _ } ] -> (
+              match
+                verifying (fun () ->
+                    Engine.Search_filters.verify_rule rule ~spec_space
+                      ~action:intent.acl_action)
+              with
+              | Engine.Search_filters.Verified -> `Verified rule
+              | Engine.Search_filters.Wrong_action _ ->
+                  `Retry ("wrong action", "wrong action")
+              | Engine.Search_filters.Match_too_broad p ->
+                  retry "rule matches a packet outside the intent: %a" p
+              | Engine.Search_filters.Match_too_narrow p ->
+                  retry "rule misses a packet the intent covers: %a" p)
+          | _ -> `Retry ("produce exactly one ACL rule", "wrong snippet shape"))
+
+(* ------------------------------------------------------------------ *)
+(* The two halves of an update                                        *)
+(* ------------------------------------------------------------------ *)
+
+type ('policy, 'candidate) synthesized = {
+  policy : 'policy;
+  candidate : 'candidate;
+  attempts : int;
+  history : string list;
+}
+
+(* The front half: target lookup, classification, prompt retrieval and
+   the family's synthesis, in the order every update performs them. *)
+let front ~kind ~lookup ~synth llm ~db ~target ~prompt =
+  let name = function `Route_map -> "route-map" | `Acl -> "acl" in
+  match lookup db target with
+  | None -> Error (Target_not_found target)
+  | Some policy -> (
+      match
+        Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
+      with
+      | got when got <> kind ->
+          Error (Wrong_query_type { expected = name kind; got = name got })
+      | _ ->
+          Result.map
+            (fun (candidate, attempts, history) ->
+              { policy; candidate; attempts; history })
+            (synth (Llm.Prompt_db.retrieve kind)))
+
+let synthesize_route_map llm ~max_attempts ~db ~target ~prompt =
+  front ~kind:`Route_map ~lookup:Config.Database.route_map llm ~db ~target
+    ~prompt ~synth:(fun entry ->
+      match
+        Obs.with_span "spec_extract" (fun () ->
+            Llm.Mock_llm.generate_spec llm prompt)
+      with
+      | Error m -> Error (Spec_error m)
+      | Ok spec ->
+          (* The paper has the user vet the spec here; our simulated
+             spec generator is faithful by construction. *)
+          Result.bind (synthesis_loop llm ~max_attempts ~entry ~prompt ~spec)
+            (fun (snippet, rm, attempts, history) ->
+              match
+                Obs.with_span "import" (fun () ->
+                    Naming.import_route_map_snippet ~db ~snippet rm)
+              with
+              | Error m -> Error (Snippet_shape m)
+              | Ok imported -> Ok ((spec, imported), attempts, history)))
+
+let synthesize_acl llm ~max_attempts ~db ~target ~prompt =
+  front ~kind:`Acl ~lookup:Config.Database.acl llm ~db ~target ~prompt
+    ~synth:(fun entry -> acl_synthesis_loop llm ~max_attempts ~entry ~prompt)
+
+let inconsistent =
+  Disambiguation_failed
+    "answers are inconsistent: no single insertion point implements this \
+     intent"
+
+(* One update end to end: the front half, then the placement core, then
+   the family's report. *)
+let run_update ~pipeline ~mode ~max_attempts ~llm ~db ~target ~prompt
+    ~synthesize ~disambiguate ~report ~final_config =
+  Obs.with_span ("pipeline." ^ pipeline ^ "_update") @@ fun () ->
   Obs.Counter.incr runs_counter;
-  emit_session_start ~pipeline:"route_map" ~target ~prompt
-    ~mode:(mode_to_string mode) ~max_attempts ~db;
+  emit_session_start ~pipeline ~target ~prompt ~mode ~max_attempts ~db;
   let calls_before = Llm.Mock_llm.total_calls llm in
   let result =
-    match Config.Database.route_map db target with
-    | None -> Error (Target_not_found target)
-    | Some target_map -> (
-        match
-          Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-        with
-        | `Acl ->
-            Error (Wrong_query_type { expected = "route-map"; got = "acl" })
-        | `Route_map -> (
-            let entry = Llm.Prompt_db.retrieve `Route_map in
-            match
-              Obs.with_span "spec_extract" (fun () ->
-                  Llm.Mock_llm.generate_spec llm prompt)
-            with
-            | Error m -> Error (Spec_error m)
-            | Ok spec -> (
-                (* The paper has the user vet the spec here; our simulated
-                   spec generator is faithful by construction. *)
-                match synthesis_loop llm ~max_attempts ~entry ~prompt ~spec with
-                | Error e -> Error e
-                | Ok (snippet, rm, attempts, history) -> (
-                    match
-                      Obs.with_span "import" (fun () ->
-                          Naming.import_route_map_snippet ~db ~snippet rm)
-                    with
-                    | Error m -> Error (Snippet_shape m)
-                    | Ok { db = db'; stanza; renaming } -> (
-                        match
-                          Obs.with_span "disambiguate" (fun () ->
-                              Disambiguator.run ~mode ~db:db' ~target:target_map
-                                ~stanza ~oracle ())
-                        with
-                        | Error (Disambiguator.Inconsistent_intent _) ->
-                            Error
-                              (Disambiguation_failed
-                                 "answers are inconsistent: no single \
-                                  insertion point implements this intent")
-                        | Error (Disambiguator.Top_bottom_insufficient _) ->
-                            Error
-                              (Disambiguation_failed
-                                 "top/bottom placement cannot satisfy the \
-                                  intent")
-                        | Ok outcome ->
-                            emit_placement ~position:outcome.position
-                              ~boundaries:outcome.boundaries
-                              ~questions:(List.length outcome.questions);
-                            let db'' =
-                              Config.Database.add_route_map db' outcome.map
-                            in
-                            Ok
-                              {
-                                db = db'';
-                                map = outcome.map;
-                                spec;
-                                stanza;
-                                renaming;
-                                synthesis_attempts = attempts;
-                                verification_history = history;
-                                llm_calls =
-                                  Llm.Mock_llm.total_calls llm - calls_before;
-                                questions = outcome.questions;
-                                position = outcome.position;
-                                boundaries = outcome.boundaries;
-                              })))))
+    Result.bind (synthesize llm ~max_attempts ~db ~target ~prompt) (fun s ->
+        match Obs.with_span "disambiguate" (fun () -> disambiguate s) with
+        | Error _ -> Error inconsistent
+        | Ok (o : (_, _) Disambig_common.outcome) ->
+            emit_placement ~position:o.position ~boundaries:o.boundaries
+              ~questions:(List.length o.questions);
+            Ok (report s o (Llm.Mock_llm.total_calls llm - calls_before)))
   in
   Obs.Counter.incr llm_calls_counter
     ~by:(Llm.Mock_llm.total_calls llm - calls_before);
   (match result with
   | Error _ -> Obs.Counter.incr errors_counter
   | Ok _ -> ());
-  emit_session_end
-    ~final_config:(fun r -> Config.Parser.to_string r.db)
-    result;
+  emit_session_end ~final_config result;
   result
+
+(** Run one incremental route-map update end to end. *)
+let run_route_map_update ?(max_attempts = default_max_attempts)
+    ?(mode = Disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt () =
+  run_update ~pipeline:"route_map" ~mode ~max_attempts ~llm ~db ~target
+    ~prompt ~synthesize:synthesize_route_map
+    ~disambiguate:(fun s ->
+      let imported = snd s.candidate in
+      Disambig_common.run Disambiguator.family ~mode
+        ~sweep:(fun () ->
+          Disambiguator.boundaries ~db:imported.Naming.db ~target:s.policy
+            imported.stanza)
+        ~target:s.policy imported.stanza ~oracle)
+    ~report:(fun s o llm_calls ->
+      let spec, { Naming.db = db'; stanza; renaming } = s.candidate in
+      {
+        db = Config.Database.add_route_map db' o.policy;
+        map = o.policy;
+        spec;
+        stanza;
+        renaming;
+        synthesis_attempts = s.attempts;
+        verification_history = s.history;
+        llm_calls;
+        questions = o.questions;
+        position = o.position;
+        boundaries = o.boundaries;
+      })
+    ~final_config:(fun (r : route_map_report) -> Config.Parser.to_string r.db)
 
 (* ------------------------------------------------------------------ *)
 (* ACL updates                                                        *)
@@ -276,154 +346,27 @@ type acl_report = {
   boundaries : int;
 }
 
-(* For ACLs the intent itself is the spec: expected rule derived from
-   the parsed intent; verification compares header spaces and actions. *)
-let acl_synthesis_loop llm ~max_attempts ~entry ~prompt =
-  match
-    Obs.with_span "spec_extract" (fun () -> Llm.Nl_parser.parse `Acl prompt)
-  with
-  | Error e -> Error (Spec_error (Llm.Nl_parser.error_message e))
-  | Ok (Llm.Intent.Route_map _) -> assert false
-  | Ok (Llm.Intent.Acl intent) ->
-      Obs.with_span "synthesize" @@ fun () ->
-      let expected =
-        Config.Acl.rule ~seq:10 ~protocol:intent.Llm.Intent.protocol
-          ~src:intent.src ~src_port:intent.src_port ~dst:intent.dst
-          ~dst_port:intent.dst_port ~established:intent.established
-          intent.acl_action
-      in
-      let spec_space = Symbolic.Packet_space.of_rule expected in
-      let rec attempt n ~feedback history =
-        if n > max_attempts then
-          Error (Verification_exhausted (List.rev history))
-        else begin
-          Obs.Counter.incr attempts_counter;
-          let loop_back msg history' =
-            Obs.Counter.incr cex_loops_counter;
-            emit_verify ~attempt:n msg;
-            attempt (n + 1) ~feedback:(Some msg) history'
-          in
-          let user =
-            match feedback with
-            | None -> prompt
-            | Some f -> prompt ^ "\nYour previous answer was wrong: " ^ f
-          in
-          let req =
-            {
-              Llm.Mock_llm.system = entry.Llm.Prompt_db.system;
-              few_shot = entry.Llm.Prompt_db.few_shot;
-              user;
-            }
-          in
-          match
-            Obs.with_span "llm" (fun () -> Llm.Mock_llm.synthesize llm req)
-          with
-          | Error m -> Error (Llm_error m)
-          | Ok text -> (
-              match Config.Parser.parse text with
-              | Error m ->
-                  loop_back ("syntax error: " ^ m)
-                    (("attempt " ^ string_of_int n ^ ": syntax error: " ^ m)
-                    :: history)
-              | Ok snippet -> (
-                  match Config.Database.acls snippet with
-                  | [ { Config.Acl.rules = [ rule ]; _ } ] -> (
-                      match
-                        Obs.with_span "verify" (fun () ->
-                            Obs.Counter.incr verification_counter;
-                            Engine.Search_filters.verify_rule rule ~spec_space
-                              ~action:intent.acl_action)
-                      with
-                      | Engine.Search_filters.Verified ->
-                          emit_verify ~attempt:n "verified";
-                          Ok (rule, n, List.rev history)
-                      | Engine.Search_filters.Wrong_action _ ->
-                          loop_back "wrong action"
-                            (("attempt " ^ string_of_int n ^ ": wrong action")
-                            :: history)
-                      | Engine.Search_filters.Match_too_broad p ->
-                          let msg =
-                            Format.asprintf
-                              "rule matches a packet outside the intent: %a"
-                              Config.Packet.pp p
-                          in
-                          loop_back msg
-                            (("attempt " ^ string_of_int n ^ ": " ^ msg)
-                            :: history)
-                      | Engine.Search_filters.Match_too_narrow p ->
-                          let msg =
-                            Format.asprintf
-                              "rule misses a packet the intent covers: %a"
-                              Config.Packet.pp p
-                          in
-                          loop_back msg
-                            (("attempt " ^ string_of_int n ^ ": " ^ msg)
-                            :: history))
-                  | _ ->
-                      loop_back "produce exactly one ACL rule"
-                        (("attempt " ^ string_of_int n ^ ": wrong snippet shape")
-                        :: history)))
-        end
-      in
-      attempt 1 ~feedback:None []
-
 (** Run one incremental ACL update end to end. *)
 let run_acl_update ?(max_attempts = default_max_attempts)
     ?(mode = Acl_disambiguator.Binary_search) ~llm ~oracle ~db ~target ~prompt
     () =
-  Obs.with_span "pipeline.acl_update" @@ fun () ->
-  Obs.Counter.incr runs_counter;
-  emit_session_start ~pipeline:"acl" ~target ~prompt
-    ~mode:(acl_mode_to_string mode) ~max_attempts ~db;
-  let calls_before = Llm.Mock_llm.total_calls llm in
-  let result =
-    match Config.Database.acl db target with
-    | None -> Error (Target_not_found target)
-    | Some target_acl -> (
-        match
-          Obs.with_span "classify" (fun () -> Llm.Mock_llm.classify llm prompt)
-        with
-        | `Route_map ->
-            Error (Wrong_query_type { expected = "acl"; got = "route-map" })
-        | `Acl -> (
-            let entry = Llm.Prompt_db.retrieve `Acl in
-            match acl_synthesis_loop llm ~max_attempts ~entry ~prompt with
-            | Error e -> Error e
-            | Ok (rule, attempts, history) -> (
-                match
-                  Obs.with_span "disambiguate" (fun () ->
-                      Acl_disambiguator.run ~mode ~target:target_acl ~rule
-                        ~oracle ())
-                with
-                | Error (Acl_disambiguator.Inconsistent_intent _) ->
-                    Error
-                      (Disambiguation_failed
-                         "answers are inconsistent: no single insertion point \
-                          implements this intent")
-                | Ok outcome ->
-                    emit_placement ~position:outcome.position
-                      ~boundaries:outcome.boundaries
-                      ~questions:(List.length outcome.questions);
-                    let db' = Config.Database.add_acl db outcome.acl in
-                    Ok
-                      {
-                        db = db';
-                        acl = outcome.acl;
-                        rule;
-                        synthesis_attempts = attempts;
-                        verification_history = history;
-                        llm_calls = Llm.Mock_llm.total_calls llm - calls_before;
-                        questions = outcome.questions;
-                        position = outcome.position;
-                        boundaries = outcome.boundaries;
-                      })))
-  in
-  Obs.Counter.incr llm_calls_counter
-    ~by:(Llm.Mock_llm.total_calls llm - calls_before);
-  (match result with
-  | Error _ -> Obs.Counter.incr errors_counter
-  | Ok _ -> ());
-  emit_session_end
+  run_update ~pipeline:"acl" ~mode ~max_attempts ~llm ~db ~target ~prompt
+    ~synthesize:synthesize_acl
+    ~disambiguate:(fun s ->
+      Disambig_common.run Acl_disambiguator.family ~mode
+        ~sweep:(fun () ->
+          Acl_disambiguator.boundaries ~target:s.policy s.candidate)
+        ~target:s.policy s.candidate ~oracle)
+    ~report:(fun s o llm_calls ->
+      {
+        db = Config.Database.add_acl db o.policy;
+        acl = o.policy;
+        rule = s.candidate;
+        synthesis_attempts = s.attempts;
+        verification_history = s.history;
+        llm_calls;
+        questions = o.questions;
+        position = o.position;
+        boundaries = o.boundaries;
+      })
     ~final_config:(fun (r : acl_report) -> Config.Parser.to_string r.db)
-    result;
-  result

@@ -75,9 +75,10 @@ val run_acl_update :
 
 (** {2 Building blocks shared with the batch pipeline ({!Batch})}
 
-    The synthesize-verify-repair loops and the flight-recorder event
-    emitters, exposed so batch runs reuse the exact same LLM call
-    sequence, repair behaviour and event schema as sequential runs. *)
+    The verify-repair loops, the front half of an update and the
+    flight-recorder event emitters, exposed so batch runs reuse the
+    exact same LLM call sequence, repair behaviour and event schema as
+    sequential runs. *)
 
 val synthesis_loop :
   Llm.Mock_llm.t ->
@@ -89,7 +90,8 @@ val synthesis_loop :
     error )
   result
 (** The route-map verify-repair loop: [(snippet, map, attempts,
-    verification history)] on success. *)
+    verification history)] on success. A snippet without exactly one
+    route-map ends the loop with [Snippet_shape]. *)
 
 val acl_synthesis_loop :
   Llm.Mock_llm.t ->
@@ -97,10 +99,43 @@ val acl_synthesis_loop :
   entry:Llm.Prompt_db.entry ->
   prompt:string ->
   (Config.Acl.rule * int * string list, error) result
-(** The ACL verify-repair loop; the parsed intent serves as spec. *)
+(** The ACL verify-repair loop; the parsed intent serves as spec. A
+    snippet without exactly one ACL rule is fed back and retried. *)
 
-val mode_to_string : Disambiguator.mode -> string
-val acl_mode_to_string : Acl_disambiguator.mode -> string
+(** A verified candidate, ready to place. *)
+type ('policy, 'candidate) synthesized = {
+  policy : 'policy;  (** the target, as found in the configuration *)
+  candidate : 'candidate;
+  attempts : int;
+  history : string list;  (** one line per failed attempt *)
+}
+
+val synthesize_route_map :
+  Llm.Mock_llm.t ->
+  max_attempts:int ->
+  db:Config.Database.t ->
+  target:string ->
+  prompt:string ->
+  ( (Config.Route_map.t, Engine.Spec.t * Naming.imported) synthesized,
+    error )
+  result
+(** The front half of a route-map update: target lookup,
+    classification, spec extraction, the verify-repair loop and the
+    import of the snippet's lists under fresh names. *)
+
+val synthesize_acl :
+  Llm.Mock_llm.t ->
+  max_attempts:int ->
+  db:Config.Database.t ->
+  target:string ->
+  prompt:string ->
+  ((Config.Acl.t, Config.Acl.rule) synthesized, error) result
+(** The front half of an ACL update: target lookup, classification and
+    the verify-repair loop. *)
+
+val inconsistent : error
+(** The [Disambiguation_failed] error for non-monotone Linear-mode
+    answers. *)
 
 val emit_placement : position:int -> boundaries:int -> questions:int -> unit
 

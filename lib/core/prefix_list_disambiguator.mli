@@ -13,7 +13,7 @@ type question = {
 
 type answer = Disambig_common.answer = Prefer_new | Prefer_old
 type oracle = question -> answer
-type mode = Binary_search | Top_bottom | Linear
+type mode = Disambig_common.mode = Binary_search | Top_bottom | Linear
 
 type outcome = {
   prefix_list : Config.Prefix_list.t;
@@ -30,11 +30,21 @@ val view : question -> Disambig_common.view
 (** The telemetry rendering of a question — also the batch answer
     cache's key material. *)
 
-val insert_entry_at :
-  Config.Prefix_list.t -> int -> Config.Prefix_list.entry -> Config.Prefix_list.t
+val family :
+  ( Config.Prefix_list.t,
+    Config.Prefix_list.entry,
+    question )
+  Disambig_common.family
+(** The prefix-list family of the placement core; its counters are
+    [prefix_list_disambiguator.questions], [.boundaries] and
+    [.binary_search.probes]. *)
 
 val boundaries :
   target:Config.Prefix_list.t -> Config.Prefix_list.entry -> question list
+(** All differing boundaries in position order, from one scan of the
+    target: entry [i] is a boundary when its action differs from the new
+    entry's and the two ranges share a prefix that no earlier entry
+    matches. *)
 
 val run :
   ?mode:mode ->

@@ -109,16 +109,14 @@ let run_events recorded =
   in
   let llm = Llm.Mock_llm.create ~replay:responses () in
   let next = scripted_answers answers in
+  let parse_mode m =
+    Option.to_result (Disambig_common.mode_of_string m)
+      ~none:(Printf.sprintf "unknown disambiguation mode %S" m)
+  in
   let* run =
     match pipeline with
     | "route_map" ->
-        let* mode =
-          match mode_name with
-          | "binary_search" -> Ok Disambiguator.Binary_search
-          | "top_bottom" -> Ok Disambiguator.Top_bottom
-          | "linear" -> Ok Disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
+        let* mode = parse_mode mode_name in
         let oracle _ =
           match next () with
           | `New -> Disambiguator.Prefer_new
@@ -130,13 +128,7 @@ let run_events recorded =
               (Pipeline.run_route_map_update ~max_attempts ~mode ~llm ~oracle
                  ~db ~target ~prompt ()))
     | "acl" ->
-        let* mode =
-          match mode_name with
-          | "binary_search" -> Ok Acl_disambiguator.Binary_search
-          | "top_bottom" -> Ok Acl_disambiguator.Top_bottom
-          | "linear" -> Ok Acl_disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
+        let* mode = parse_mode mode_name in
         let oracle _ =
           match next () with
           | `New -> Acl_disambiguator.Prefer_new
@@ -148,19 +140,11 @@ let run_events recorded =
               (Pipeline.run_acl_update ~max_attempts ~mode ~llm ~oracle ~db
                  ~target ~prompt ()))
     | "batch" ->
-        let* rm_mode =
-          match mode_name with
-          | "binary_search" -> Ok Disambiguator.Binary_search
-          | "top_bottom" -> Ok Disambiguator.Top_bottom
-          | "linear" -> Ok Disambiguator.Linear
-          | m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
-        in
+        let* rm_mode = parse_mode mode_name in
         let* acl_mode =
-          match E.str_field "acl_mode" start with
-          | None | Some "binary_search" -> Ok Acl_disambiguator.Binary_search
-          | Some "top_bottom" -> Ok Acl_disambiguator.Top_bottom
-          | Some "linear" -> Ok Acl_disambiguator.Linear
-          | Some m -> Error (Printf.sprintf "unknown disambiguation mode %S" m)
+          parse_mode
+            (Option.value (E.str_field "acl_mode" start)
+               ~default:"binary_search")
         in
         let* items =
           match E.field "items" start with

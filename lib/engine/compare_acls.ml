@@ -58,15 +58,6 @@ let equal_behavior a b = first_difference a b = None
    the new rule's action differs from rule [i]'s and the region
    [cell_i.guard ∧ match(new)] is satisfiable. *)
 
-let naive_chunk ~target rule (start, len) =
-  let acl_at p = Config.Acl.insert_at target p rule in
-  List.filter_map
-    (fun i ->
-      match first_difference (acl_at i) (acl_at (i + 1)) with
-      | None -> None
-      | Some d -> Some (i, d))
-    (List.init len (fun k -> start + k))
-
 (* Boundaries of one candidate rule against a pre-executed partition of
    the target: position [i] is a boundary exactly when the actions
    differ and [cell_i.guard ∧ match(rule)] is satisfiable. *)
@@ -94,57 +85,39 @@ let cell_boundaries cells rule (start, len) =
                 } ))
     (List.init len (fun k -> start + k))
 
-let incremental_chunk ~(target : Config.Acl.t) (rule : Config.Acl.rule)
-    (start, len) =
-  Obs.Counter.incr Metrics.adjacent_contexts;
-  Obs.Counter.incr ~by:(max 0 (len - 1)) Metrics.adjacent_prefix_reuse;
-  let cells = Array.of_list (Ps.exec target) in
-  cell_boundaries cells rule (start, len)
-
-let adjacent_insertions ?naive ?pool ~(target : Config.Acl.t)
-    (rule : Config.Acl.rule) =
+let adjacent_insertions ?pool ~(target : Config.Acl.t) (rule : Config.Acl.rule)
+    =
   Obs.Counter.incr Metrics.adjacent_insertions_calls;
   let t0 = Obs.now () in
-  let naive =
-    match naive with Some b -> b | None -> Boundary_mode.naive_requested ()
-  in
-  let run_chunk =
-    if naive then naive_chunk ~target rule else incremental_chunk ~target rule
-  in
   let n = List.length target.Config.Acl.rules in
   let result =
     match pool with
     | Some pool when Parallel.Pool.domains pool > 1 && n > 1 ->
-        if naive then
-          (* Position-sized tasks: each inserts the rule at one
-             boundary, so a pathological position is stolen around
-             rather than serializing a coarse chunk. *)
-          List.concat
-            (Parallel.Pool.map pool ~f:run_chunk
-               (Parallel.Pool.ranges ~grain:1 n))
-        else begin
-          (* Execute the target's partition (and compile the new rule's
-             match) once into a frozen base; workers walk stealable
-             position slices under private deltas instead of
-             re-executing per domain. Slices of a few positions keep
-             per-task bookkeeping negligible while leaving plenty to
-             steal when widths are skewed. *)
-          let base = Bdd.Manager.create () in
-          let cells =
-            Bdd.with_manager base (fun () ->
-                Obs.Counter.incr Metrics.adjacent_contexts;
-                let cells = Array.of_list (Ps.exec target) in
-                ignore (Ps.of_rule rule);
-                cells)
-          in
-          Bdd.Manager.freeze base;
-          Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
-          List.concat
-            (Parallel.Pool.map ~bdd_base:base pool
-               ~f:(fun slice -> cell_boundaries cells rule slice)
-               (Parallel.Pool.ranges ~grain:8 n))
-        end
-    | _ -> if n = 0 then [] else run_chunk (0, n)
+        (* Execute the target's partition (and compile the new rule's
+           match) once into a frozen base; workers walk stealable
+           position slices under private deltas instead of re-executing
+           per domain. Slices of a few positions keep per-task
+           bookkeeping negligible while leaving plenty to steal when
+           widths are skewed. *)
+        let base = Bdd.Manager.create () in
+        let cells =
+          Bdd.with_manager base (fun () ->
+              Obs.Counter.incr Metrics.adjacent_contexts;
+              let cells = Array.of_list (Ps.exec target) in
+              ignore (Ps.of_rule rule);
+              cells)
+        in
+        Bdd.Manager.freeze base;
+        Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
+        List.concat
+          (Parallel.Pool.map ~bdd_base:base pool
+             ~f:(fun slice -> cell_boundaries cells rule slice)
+             (Parallel.Pool.ranges ~grain:8 n))
+    | _ when n = 0 -> []
+    | _ ->
+        Obs.Counter.incr Metrics.adjacent_contexts;
+        Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
+        cell_boundaries (Array.of_list (Ps.exec target)) rule (0, n)
   in
   Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
   result

@@ -17,19 +17,17 @@ val first_difference : Config.Acl.t -> Config.Acl.t -> difference option
 val equal_behavior : Config.Acl.t -> Config.Acl.t -> bool
 
 val adjacent_insertions :
-  ?naive:bool ->
   ?pool:Parallel.Pool.t ->
   target:Config.Acl.t ->
   Config.Acl.rule ->
   (int * difference) list
 (** Every insertion position [i] (0-based, ascending) at which inserting
     the rule at [i] behaves differently from inserting it at [i + 1],
-    with one witness packet per position. Incremental by default (one
-    symbolic execution of the target, one conjunction per position);
-    [~naive] forces per-position two-ACL comparison, and when omitted
-    {!Boundary_mode.naive_requested} decides. [~pool] splits positions
-    into one contiguous chunk per worker domain. Both strategies return
-    identical results. *)
+    with one witness packet per position: one symbolic execution of the
+    target, one conjunction per position. The result equals the naive
+    per-position two-ACL comparison, which the test suite keeps as an
+    oracle. [~pool] splits positions into stealable slices over one
+    shared frozen execution; results are identical serial or pooled. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;

@@ -149,25 +149,14 @@ let equal_behavior ~db_a ~db_b rm_a rm_b =
    i is one conjunction, [cell_i.guard ∧ match(new)], against a single
    shared compilation — no per-position map construction or
    re-execution. The pair-filtering, sampling and concrete-replay logic
-   below mirrors [compare] exactly so that witnesses are byte-identical
-   to the naive per-position sweep. *)
-
-let naive_chunk ~db ~target stanza (start, len) =
-  Obs.Counter.incr ~by:len Metrics.adjacent_contexts;
-  let map_at p = Config.Route_map.insert_at target p stanza in
-  List.filter_map
-    (fun i ->
-      match
-        first_difference ~db_a:db ~db_b:db (map_at i) (map_at (i + 1))
-      with
-      | None -> None
-      | Some d -> Some (i, d))
-    (List.init len (fun k -> start + k))
+   below mirrors [compare] exactly, so witnesses are byte-identical to a
+   naive per-position sweep of [first_difference] (the test suite keeps
+   that sweep as an oracle). *)
 
 (* Boundaries of one candidate stanza against a pre-executed partition
    of the target: position [i]'s candidate region is
    [cells.(i).guard ∧ match(stanza)], sampled and replayed concretely
-   exactly as [compare] would, so witnesses match the naive sweep. *)
+   exactly as [compare] would. *)
 let cell_boundaries ctx cells ~db ~(target : Config.Route_map.t) stanza
     (start, len) =
   let match_new = Ctx.of_stanza ctx db stanza in
@@ -206,71 +195,53 @@ let cell_boundaries ctx cells ~db ~(target : Config.Route_map.t) stanza
                 (i, { route; result_a; result_b; stanza_a = seq; stanza_b = seq }))
     (List.init len (fun k -> start + k))
 
-let incremental_chunk ~db ~(target : Config.Route_map.t) stanza (start, len) =
+(* Any insertion brings the new stanza's ancillary lists into scope;
+   position 0 is as good as any for the shared universe, which is a
+   function of the referenced community sets only. *)
+let sweep_context ~db ~target stanza =
   Obs.Counter.incr Metrics.adjacent_contexts;
-  Obs.Counter.incr ~by:(max 0 (len - 1)) Metrics.adjacent_prefix_reuse;
-  (* Any insertion brings the new stanza's ancillary lists into scope;
-     position 0 is as good as any for the shared universe, which is a
-     function of the referenced community sets only. *)
-  let ctx = context ~db_a:db ~db_b:db (Config.Route_map.insert_at target 0 stanza) target in
-  let cells = Array.of_list (Ctx.exec ctx db target) in
-  cell_boundaries ctx cells ~db ~target stanza (start, len)
+  context ~db_a:db ~db_b:db (Config.Route_map.insert_at target 0 stanza) target
 
-let adjacent_insertions ?naive ?pool ~db ~(target : Config.Route_map.t)
+let adjacent_insertions ?pool ~db ~(target : Config.Route_map.t)
     (stanza : Config.Route_map.stanza) =
   Obs.Counter.incr Metrics.adjacent_insertions_calls;
   let t0 = Obs.now () in
-  let naive =
-    match naive with Some b -> b | None -> Boundary_mode.naive_requested ()
-  in
-  let run_chunk =
-    if naive then naive_chunk ~db ~target stanza
-    else incremental_chunk ~db ~target stanza
-  in
   let n = List.length target.Config.Route_map.stanzas in
   let result =
     match pool with
     | Some pool when Parallel.Pool.domains pool > 1 && n > 1 ->
-        if naive then
-          (* One position per task: a pathological insertion point gets
-             stolen around instead of serializing a coarse chunk. *)
-          List.concat
-            (Parallel.Pool.map pool ~f:run_chunk
-               (Parallel.Pool.ranges ~grain:1 n))
-        else begin
-          (* Compile the shared context and first-match partition once
-             into a fresh base manager, freeze it, and let every worker
-             walk its slice under a private delta — the base's nodes
-             and compile cache are shared read-only, so nothing is
-             recompiled per domain. *)
-          let base = Bdd.Manager.create () in
-          let ctx, cells =
-            Bdd.with_manager base (fun () ->
-                Obs.Counter.incr Metrics.adjacent_contexts;
-                let ctx =
-                  context ~db_a:db ~db_b:db
-                    (Config.Route_map.insert_at target 0 stanza)
-                    target
-                in
-                let cells = Array.of_list (Ctx.exec ctx db target) in
-                (* Pre-compile the candidate's match condition too, so
-                   deltas resolve it from the base instead of each
-                   rebuilding it. *)
-                ignore (Ctx.of_stanza ctx db stanza);
-                (ctx, cells))
-          in
-          Bdd.Manager.freeze base;
-          Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
-          (* Slices of a few positions: the context fork (a hashtable
-             copy) amortizes over the slice while slices stay plentiful
-             enough to steal when stanza widths are skewed. *)
-          List.concat
-            (Parallel.Pool.map ~bdd_base:base pool
-               ~f:(fun slice ->
-                 cell_boundaries (Ctx.fork ctx) cells ~db ~target stanza slice)
-               (Parallel.Pool.ranges ~grain:8 n))
-        end
-    | _ -> if n = 0 then [] else run_chunk (0, n)
+        (* Compile the shared context and first-match partition once
+           into a fresh base manager, freeze it, and let every worker
+           walk its slice under a private delta — the base's nodes and
+           compile cache are shared read-only, so nothing is recompiled
+           per domain. *)
+        let base = Bdd.Manager.create () in
+        let ctx, cells =
+          Bdd.with_manager base (fun () ->
+              let ctx = sweep_context ~db ~target stanza in
+              let cells = Array.of_list (Ctx.exec ctx db target) in
+              (* Pre-compile the candidate's match condition too, so
+                 deltas resolve it from the base instead of each
+                 rebuilding it. *)
+              ignore (Ctx.of_stanza ctx db stanza);
+              (ctx, cells))
+        in
+        Bdd.Manager.freeze base;
+        Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
+        (* Slices of a few positions: the context fork (a hashtable
+           copy) amortizes over the slice while slices stay plentiful
+           enough to steal when stanza widths are skewed. *)
+        List.concat
+          (Parallel.Pool.map ~bdd_base:base pool
+             ~f:(fun slice ->
+               cell_boundaries (Ctx.fork ctx) cells ~db ~target stanza slice)
+             (Parallel.Pool.ranges ~grain:8 n))
+    | _ when n = 0 -> []
+    | _ ->
+        let ctx = sweep_context ~db ~target stanza in
+        Obs.Counter.incr ~by:(max 0 (n - 1)) Metrics.adjacent_prefix_reuse;
+        let cells = Array.of_list (Ctx.exec ctx db target) in
+        cell_boundaries ctx cells ~db ~target stanza (0, n)
   in
   Obs.Histogram.observe_ns Metrics.boundary_ns ((Obs.now () -. t0) *. 1e9);
   result

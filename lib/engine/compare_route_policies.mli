@@ -40,7 +40,6 @@ val equal_behavior :
   bool
 
 val adjacent_insertions :
-  ?naive:bool ->
   ?pool:Parallel.Pool.t ->
   db:Config.Database.t ->
   target:Config.Route_map.t ->
@@ -51,18 +50,16 @@ val adjacent_insertions :
     with one witness route per position — the full boundary sweep the
     disambiguators binary-search over.
 
-    By default the sweep is incremental: the target map is symbolically
-    executed once and position [i]'s candidate region is
+    The sweep is incremental: the target map is symbolically executed
+    once and position [i]'s candidate region is
     [cell_i.guard ∧ match(stanza)], so the whole sweep costs one
-    compilation instead of the naive [n] two-map comparisons. [~naive]
-    forces either strategy explicitly; when omitted,
-    {!Boundary_mode.naive_requested} decides (the
-    [CLARIFY_NAIVE_BOUNDARIES] escape hatch). Both strategies return
-    identical results — the property suite enforces byte-equality.
+    compilation instead of the naive [n] two-map comparisons. Its
+    result equals that naive per-position sweep of {!first_difference}
+    byte for byte; the test suite keeps the naive sweep as an oracle.
 
-    [~pool] splits the sweep into one contiguous chunk of positions per
-    worker domain; each chunk compiles its own context (BDDs never
-    cross domains), and results are re-assembled in position order. *)
+    [~pool] splits the positions into stealable slices over one shared
+    frozen compilation; results are re-assembled in position order and
+    are identical serial or pooled. *)
 
 type batch_sweep = {
   per_candidate : (int * difference) list array;

@@ -8,13 +8,13 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Batch boundary sweeps ([adjacent_insertions] in either compare
-    module), naive or incremental. *)
+(** Batch boundary sweeps: [adjacent_insertions] in either compare
+    module, and the naive test oracle's sweeps. *)
 
 val adjacent_contexts : Obs.Counter.t
 (** Symbolic contexts built during boundary discovery: the incremental
-    engine builds one per sweep (per chunk under a pool), the naive
-    path one per insertion position. *)
+    engine builds one per sweep, the naive test oracle one per
+    insertion position. *)
 
 val adjacent_prefix_reuse : Obs.Counter.t
 (** Insertion positions whose reachability came from a shared prefix

@@ -263,6 +263,76 @@ let prop_acl_batch_equals_sequential ~pooled ~count =
       && same_multiset batch_qs seq_qs)
 
 (* ------------------------------------------------------------------ *)
+(* Answers are honoured                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every question a batch asked must be honoured by the policy that
+   intent's own placement produced (later intents may change it
+   legitimately). The user prefers the new entry exactly at positions
+   at or past a per-target threshold — the answers of an intent one
+   insertion realizes — so a question served from the answer cache
+   gets the answer this user would give. Route-map and ACL intents
+   alternate in one batch, in Binary_search or Linear mode. *)
+let prop_batch_answers_honoured ~count =
+  QCheck.Test.make ~name:"batch placements honour every answer" ~count
+    QCheck.(
+      triple
+        (pair arb_rm_scenario arb_acl_scenario)
+        (pair (int_bound 4) (int_bound 5))
+        bool)
+    (fun (((rm, rm_intents), (acl, acl_intents)), (rm_at, acl_at), linear) ->
+      let db = Database.add_acl (rm_setup rm) acl in
+      let rec alternate xs ys =
+        match (xs, ys) with
+        | x :: xs, y :: ys -> x :: y :: alternate xs ys
+        | rest, [] | [], rest -> rest
+      in
+      let items =
+        alternate
+          (List.map
+             (fun i ->
+               B.Route_map_update
+                 { target = "TARGET"; prompt = I.to_prompt (I.Route_map i) })
+             rm_intents)
+          (List.map
+             (fun i -> B.Acl_update { target = "FW"; prompt = I.to_prompt i })
+             acl_intents)
+      in
+      let answer position at = if position >= at then DC.Prefer_new else DC.Prefer_old in
+      let oracle ~intent:_ ~target:_ = function
+        | B.Route_map_q q -> answer q.D.position rm_at
+        | B.Acl_q q -> answer q.AD.position acl_at
+      in
+      let mode = if linear then DC.Linear else DC.Binary_search in
+      match
+        B.run ~rm_mode:mode ~acl_mode:mode ~llm:(Llm.Mock_llm.create ()) ~oracle
+          ~db items
+      with
+      | Error e -> QCheck.Test.fail_reportf "batch: %s" (B.error_to_string e)
+      | Ok r ->
+          List.for_all
+            (function
+              | B.Route_map_result rr ->
+                  List.for_all
+                    (fun (q : D.question) ->
+                      Semantics.route_result_equal
+                        (match answer q.position rm_at with
+                        | DC.Prefer_new -> q.if_new_first
+                        | DC.Prefer_old -> q.if_old_first)
+                        (Semantics.eval_route_map rr.P.db rr.P.map q.route))
+                    rr.P.questions
+              | B.Acl_result ar ->
+                  List.for_all
+                    (fun (q : AD.question) ->
+                      Action.equal
+                        (match answer q.position acl_at with
+                        | DC.Prefer_new -> q.if_new_first
+                        | DC.Prefer_old -> q.if_old_first)
+                        (Semantics.eval_acl ar.P.acl q.packet))
+                    ar.P.questions)
+            r.B.items)
+
+(* ------------------------------------------------------------------ *)
 (* Prefix-list scenarios                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -538,6 +608,7 @@ let () =
           q (prop_acl_batch_equals_sequential ~pooled:true ~count:60);
           q (prop_prefix_batch_equals_sequential ~count:200);
         ] );
+      ("honoured", [ q (prop_batch_answers_honoured ~count:100) ]);
       ( "pinned",
         [
           Alcotest.test_case "conflicting ACL pair with witness" `Quick

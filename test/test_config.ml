@@ -339,6 +339,29 @@ let test_route_map_insert_at () =
   Alcotest.check_raises "out of range" (Invalid_argument "Route_map.insert_at")
     (fun () -> ignore (Route_map.insert_at rm 4 s))
 
+let test_prefix_list_insert_at () =
+  let range s = Netaddr.Prefix_range.make (Netaddr.Prefix.of_string_exn s) ~ge:None ~le:(Some 32) in
+  let pl =
+    Prefix_list.make "PL"
+      [
+        Prefix_list.entry ~seq:5 ~action:Action.Permit (range "10.0.0.0/8");
+        Prefix_list.entry ~seq:7 ~action:Action.Deny (range "20.0.0.0/8");
+      ]
+  in
+  let e = Prefix_list.entry ~seq:99 ~action:Action.Deny (range "30.0.0.0/8") in
+  let seqs pl = List.map (fun (e : Prefix_list.entry) -> e.seq) pl.Prefix_list.entries in
+  let pl1 = Prefix_list.insert_at pl 1 e in
+  Alcotest.(check (list int)) "middle insert resequenced" [ 10; 20; 30 ] (seqs pl1);
+  check "new second" true
+    ((List.nth pl1.Prefix_list.entries 1).Prefix_list.range = range "30.0.0.0/8");
+  check "new last" true
+    ((List.nth (Prefix_list.insert_at pl 2 e).Prefix_list.entries 2).Prefix_list.range
+    = range "30.0.0.0/8");
+  Alcotest.check_raises "out of range" (Invalid_argument "Prefix_list.insert_at")
+    (fun () -> ignore (Prefix_list.insert_at pl 3 e));
+  Alcotest.check_raises "negative" (Invalid_argument "Prefix_list.insert_at")
+    (fun () -> ignore (Prefix_list.insert_at pl (-1) e))
+
 let test_rename_references () =
   let d = parse_ok paper_snippet in
   let rm = Option.get (Database.route_map d "SET_METRIC") in
@@ -707,6 +730,8 @@ let () =
           Alcotest.test_case "insert_at" `Quick test_route_map_insert_at;
           Alcotest.test_case "rename references" `Quick test_rename_references;
           Alcotest.test_case "undefined references" `Quick test_undefined_references;
+          Alcotest.test_case "prefix-list insert_at" `Quick
+            test_prefix_list_insert_at;
         ] );
       ( "containers",
         [

@@ -133,7 +133,7 @@ let prop_pl_binary_recovers_placement =
       let entry =
         Prefix_list.entry ~seq:99 ~action:Action.Deny (range ~le:32 "10.0.0.0/8")
       in
-      let desired_list = Pld.insert_entry_at target p entry in
+      let desired_list = Prefix_list.insert_at target p entry in
       let desired q = eval desired_list q in
       match Pld.run ~target ~entry ~oracle:(Pld.intent_driven desired) () with
       | Error _ -> false
@@ -147,6 +147,108 @@ let prop_pl_binary_recovers_placement =
               pfx "10.1.5.0/24"; pfx "10.1.5.0/32"; pfx "10.2.0.0/25";
               pfx "20.5.0.0/16"; pfx "99.0.0.0/8";
             ])
+
+(* ------------------------------------------------------------------ *)
+(* Top/bottom mode, the same for every family                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The prototype's mode compares only placements 0 and n. In each
+   family's fixture the first boundary sits at position 1 and there
+   are two, so the pinned shape — one question posed at position 0
+   against the first entry's seq, one boundary reported — differs from
+   simply asking the first boundary. *)
+let check_top_bottom what ~n ~first_seq ~positions run =
+  Alcotest.(check (list int)) (what ^ " boundaries") [ 1; 2 ] positions;
+  List.iter
+    (fun (answer, want) ->
+      let position, boundaries, asked = run (fun _ -> answer) in
+      check_int (what ^ " chosen position") want position;
+      check_int (what ^ " boundaries reported") 1 boundaries;
+      Alcotest.(check (list (pair int int)))
+        (what ^ " one question at position 0")
+        [ (0, first_seq) ]
+        asked)
+    [ (Clarify.Disambig_common.Prefer_new, 0); (Prefer_old, n) ]
+
+let test_top_bottom_all_families () =
+  let module D = Clarify.Disambiguator in
+  let module Ad = Clarify.Acl_disambiguator in
+  let db =
+    parse_ok
+      {|
+ip prefix-list OTHER permit 99.0.0.0/8 le 32
+ip prefix-list TEN permit 10.0.0.0/8 le 32
+ip prefix-list TENONE permit 10.1.0.0/16 le 32
+route-map M permit 10
+ match ip address prefix-list OTHER
+route-map M permit 20
+ match ip address prefix-list TENONE
+route-map M permit 30
+ match ip address prefix-list TEN
+|}
+  in
+  let map = Option.get (Database.route_map db "M") in
+  let stanza =
+    Route_map.stanza ~seq:99
+      ~matches:[ Route_map.Match_prefix_list [ "TEN" ] ]
+      Action.Deny
+  in
+  check_top_bottom "route-map" ~n:3 ~first_seq:10
+    ~positions:
+      (List.map (fun (q : D.question) -> q.position)
+         (D.boundaries ~db ~target:map stanza))
+    (fun oracle ->
+      match D.run ~mode:D.Top_bottom ~db ~target:map ~stanza ~oracle () with
+      | Ok o ->
+          ( o.position,
+            o.boundaries,
+            List.map (fun (q : D.question) -> (q.position, q.boundary_seq)) o.questions )
+      | Error _ -> Alcotest.fail "route-map top/bottom failed");
+  let acl =
+    Acl.make "A"
+      [
+        Acl.rule ~seq:10 ~protocol:Packet.Udp Action.Permit;
+        Acl.rule ~seq:20 ~protocol:Packet.Tcp
+          ~src:(Acl.addr_of_prefix (pfx "10.20.0.0/16"))
+          Action.Permit;
+        Acl.rule ~seq:30 ~protocol:Packet.Tcp ~dst_port:(Acl.Eq 443) Action.Permit;
+      ]
+  in
+  let rule = Acl.rule ~protocol:Packet.Tcp Action.Deny in
+  check_top_bottom "acl" ~n:3 ~first_seq:10
+    ~positions:
+      (List.map (fun (q : Ad.question) -> q.position)
+         (Ad.boundaries ~target:acl rule))
+    (fun oracle ->
+      match Ad.run ~mode:Ad.Top_bottom ~target:acl ~rule ~oracle () with
+      | Ok o ->
+          ( o.position,
+            o.boundaries,
+            List.map (fun (q : Ad.question) -> (q.position, q.boundary_seq)) o.questions )
+      | Error _ -> Alcotest.fail "acl top/bottom failed");
+  let pl =
+    Prefix_list.make "PL"
+      [
+        Prefix_list.entry ~seq:10 ~action:Action.Permit (range ~le:32 "20.0.0.0/8");
+        Prefix_list.entry ~seq:20 ~action:Action.Permit (range ~le:24 "10.0.0.0/8");
+        Prefix_list.entry ~seq:30 ~action:Action.Permit
+          (range ~ge:25 ~le:32 "10.0.0.0/8");
+      ]
+  in
+  let entry =
+    Prefix_list.entry ~seq:99 ~action:Action.Deny (range ~le:32 "10.0.0.0/8")
+  in
+  check_top_bottom "prefix-list" ~n:3 ~first_seq:10
+    ~positions:
+      (List.map (fun (q : Pld.question) -> q.position)
+         (Pld.boundaries ~target:pl entry))
+    (fun oracle ->
+      match Pld.run ~mode:Pld.Top_bottom ~target:pl ~entry ~oracle () with
+      | Ok o ->
+          ( o.position,
+            o.boundaries,
+            List.map (fun (q : Pld.question) -> (q.position, q.boundary_seq)) o.questions )
+      | Error _ -> Alcotest.fail "prefix-list top/bottom failed")
 
 (* ------------------------------------------------------------------ *)
 (* The paper's §4 caveat: sequential insertion is order/choice
@@ -209,8 +311,7 @@ let test_sequential_insertion_order_sensitivity () =
          the failure is real, not an artifact of the checker. *)
       check "misses the goal" false
         (Engine.Compare_route_policies.equal_behavior ~db_a:db ~db_b:db
-           o.Clarify.Disambiguator.map final)
-  | Error _ -> Alcotest.fail "unexpected error");
+           o.Clarify.Disambiguator.map final));
   (* The alternative placement choice at step 1 (top, behaviourally
      equivalent at the time) makes step 2 succeed — the paper's point. *)
   let after_b_top = Route_map.insert_at target 0 stanza_b in
@@ -323,6 +424,11 @@ let () =
           Alcotest.test_case "linear inconsistency" `Quick
             test_pl_linear_inconsistency;
           q prop_pl_binary_recovers_placement;
+        ] );
+      ( "top-bottom",
+        [
+          Alcotest.test_case "all families" `Quick
+            test_top_bottom_all_families;
         ] );
       ( "sequential-insertion",
         [

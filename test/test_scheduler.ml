@@ -101,7 +101,7 @@ let test_stress_flag_roundtrip () =
       check_bool "stress visible" true (Parallel.Pool.steal_stress ()))
 
 (* Boundary sweep: serial ≡ pooled ≡ pooled-under-stress, for both the
-   incremental and naive engines. *)
+   incremental engine and the naive oracle. *)
 let test_stress_boundaries_identical () =
   let corpus = Workload.Cloud.generate ~seed:7 () in
   let target =
@@ -119,14 +119,13 @@ let test_stress_boundaries_identical () =
   let pool = Parallel.Pool.create ~domains:4 () in
   List.iter
     (fun naive ->
-      let serial = Engine.Compare_acls.adjacent_insertions ~naive ~target rule in
-      let pooled =
-        Engine.Compare_acls.adjacent_insertions ~naive ~pool ~target rule
+      let sweep ?pool () =
+        if naive then Naive_differ.acl_insertions ?pool ~target rule
+        else Engine.Compare_acls.adjacent_insertions ?pool ~target rule
       in
-      let stressed =
-        with_stress (fun () ->
-            Engine.Compare_acls.adjacent_insertions ~naive ~pool ~target rule)
-      in
+      let serial = sweep () in
+      let pooled = sweep ~pool () in
+      let stressed = with_stress (fun () -> sweep ~pool ()) in
       check_bool
         (Printf.sprintf "pooled sweep identical (naive=%b)" naive)
         true (serial = pooled);
