@@ -399,8 +399,9 @@ let run_disambig_comparison () =
       in
       let incr, incr_ns =
         wall_ns (fun () ->
-            Engine.Compare_route_policies.adjacent_insertions ~db
-              ~target stanza)
+            Engine.Sweep.boundaries
+              (Engine.Compare_route_policies.family ~db target)
+              stanza)
       in
       if naive <> incr then failwith "incremental sweep differs from naive";
       timings :=
@@ -414,8 +415,8 @@ let run_disambig_comparison () =
       if Parallel.Pool.domains pool > 1 then begin
         let pooled, pool_ns =
           wall_ns (fun () ->
-              Engine.Compare_route_policies.adjacent_insertions
-                ~pool ~db ~target stanza)
+              Engine.Sweep.boundaries ~pool
+                (Engine.Compare_route_policies.family ~db target) stanza)
         in
         if pooled <> incr then failwith "pooled sweep differs from serial";
         timings :=
@@ -434,7 +435,8 @@ let run_disambig_comparison () =
      ratio to >= 5x. *)
   let db, target, stanza = ablation_scenario 128 in
   let reference =
-    Engine.Compare_route_policies.adjacent_insertions ~db ~target
+    Engine.Sweep.boundaries
+      (Engine.Compare_route_policies.family ~db target)
       stanza
   in
   let time_backend boxed =
@@ -445,8 +447,8 @@ let run_disambig_comparison () =
           (Symbdd.Bdd.Manager.create ~boxed ())
           (fun () ->
             wall_ns (fun () ->
-                Engine.Compare_route_policies.adjacent_insertions
-                  ~db ~target stanza))
+                Engine.Sweep.boundaries
+                  (Engine.Compare_route_policies.family ~db target) stanza))
       in
       result := r;
       best := Float.min !best ns
@@ -746,8 +748,9 @@ let run_obs_overhead () =
   let db, target, stanza = ablation_scenario 128 in
   let sweep () =
     ignore
-      (Engine.Compare_route_policies.adjacent_insertions ~db
-         ~target stanza)
+      (Engine.Sweep.boundaries
+         (Engine.Compare_route_policies.family ~db target)
+         stanza)
   in
   sweep ();
   (* The arena roughly halved the sweep, so fixed ~1ms scheduler noise
@@ -897,8 +900,9 @@ let run_sched_skew () =
               ablation_scenario (if i < heavy then w else w / 8))
         in
         let sweep (db, target, stanza) =
-          Engine.Compare_route_policies.adjacent_insertions ~db
-            ~target stanza
+          Engine.Sweep.boundaries
+            (Engine.Compare_route_policies.family ~db target)
+            stanza
         in
         let serial = List.map sweep scenarios in
         let time grain =

@@ -73,7 +73,8 @@ let of_differences (target : Config.Acl.t) diffs =
 let boundaries ?pool ~(target : Config.Acl.t) rule =
   Disambig_common.sweep family (fun () ->
       of_differences target
-        (Engine.Compare_acls.adjacent_insertions ?pool ~target rule))
+        (Engine.Sweep.boundaries ?pool (Engine.Compare_acls.family target)
+           rule))
 
 let run ?mode ?pool ?precomputed ~target ~rule ~oracle () =
   match

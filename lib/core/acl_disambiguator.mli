@@ -44,9 +44,10 @@ val boundaries :
   target:Config.Acl.t ->
   Config.Acl.rule ->
   question list
-(** All differing boundaries in position order, from one incremental
-    sweep of {!Engine.Compare_acls.adjacent_insertions}.
-    [?pool] fans contiguous position chunks across worker domains. *)
+(** All differing boundaries in position order, from a one-candidate
+    {!Engine.Sweep} of {!Engine.Compare_acls.family}. [?pool] compiles
+    the target once into a frozen base and lets worker domains steal
+    slices of positions. *)
 
 val run :
   ?mode:mode ->

@@ -7,9 +7,8 @@
 
     - every intent is synthesized and verified up front with the same
       LLM loops as {!Pipeline} (same call order, same repair behaviour);
-    - per target policy, ONE multi-stanza engine sweep
-      ({!Engine.Compare_route_policies.batch_insertions} /
-      {!Engine.Compare_acls.batch_insertions}) computes every intent's
+    - per target policy, ONE multi-candidate {!Engine.Sweep.run} over
+      the family's record computes every intent's
       boundary set plus the pairwise inter-intent overlap/conflict
       graph against a single compiled first-match partition;
     - intents with no overlap edge to any other intent take a fast
@@ -233,96 +232,70 @@ let synthesize_item ~llm ~max_attempts ~db k it =
 (* Phase 2: one engine sweep per target policy                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Group intent indices by (kind, target), preserving first-seen order. *)
-let group_targets items =
-  let order = ref [] in
-  let tbl = Hashtbl.create 8 in
-  List.iteri
-    (fun k it ->
-      let key = (item_kind it, item_target it) in
-      match Hashtbl.find_opt tbl key with
-      | None ->
-          order := key :: !order;
-          Hashtbl.add tbl key [ k ]
-      | Some ks -> Hashtbl.replace tbl key (k :: ks))
-    items;
-  List.rev_map (fun key -> (key, List.rev (Hashtbl.find tbl key))) !order
+(* Group [(intent, target, pending)] by target. The groups' order is
+   immaterial: each is swept independently and the edges are sorted. *)
+let group_targets entries =
+  List.map
+    (fun target ->
+      ( target,
+        List.filter_map
+          (fun (k, t, p) -> if t = target then Some (k, p) else None)
+          entries ))
+    (List.sort_uniq String.compare (List.map (fun (_, t, _) -> t) entries))
 
-(* Run the multi-candidate engine sweep for every group, filling in each
-   pending intent's boundaries. Returns the per-intent overlap flags,
-   the conflict edges in input order, the overlapping pair count and
-   the group count. *)
-let sweep_groups ?pool ~db items synths =
-  let overlapping = Array.make (Array.length synths) false in
+(* Run one engine sweep per target policy of each family, filling in
+   each pending intent's boundaries. Returns the per-intent overlap
+   flags, the conflict edges in input order, the overlapping pair count
+   and the group count. *)
+let sweep_groups ?pool ~db ~route_maps ~acls nitems =
+  let overlapping = Array.make nitems false in
   let conflicts = ref [] in
   let overlap_pairs = ref 0 in
-  let groups = group_targets items in
-  List.iter
-    (fun ((_, target), ks) ->
-      let ks_arr = Array.of_list ks in
-      (* Store a group's sweep: candidate-local boundary sets, then the
-         overlapping and conflicting pairs in input indices. *)
-      let record pendings of_differences per_candidate overlaps cs witness =
+  let groups = ref 0 in
+  let sweep ~lookup ~family ~of_differences ~witness ~entry pendings =
+    List.iter
+      (fun (target, group) ->
+        incr groups;
+        let ks = Array.of_list (List.map fst group) in
+        let policy = Option.get (lookup target) in
+        let sw =
+          Engine.Sweep.run ?pool (family policy)
+            (List.map (fun (_, p) -> entry p) group)
+        in
         List.iteri
-          (fun local p -> p.bounds <- of_differences per_candidate.(local))
-          pendings;
+          (fun c (_, p) ->
+            p.bounds <- of_differences policy sw.per_candidate.(c))
+          group;
         List.iter
           (fun (i, j) ->
             incr overlap_pairs;
-            overlapping.(ks_arr.(i)) <- true;
-            overlapping.(ks_arr.(j)) <- true)
-          overlaps;
+            overlapping.(ks.(i)) <- true;
+            overlapping.(ks.(j)) <- true)
+          sw.overlaps;
         List.iter
           (fun (i, j, d) ->
             conflicts :=
               {
-                intent_a = ks_arr.(i);
-                intent_b = ks_arr.(j);
+                intent_a = ks.(i);
+                intent_b = ks.(j);
                 target;
                 witness = witness d;
               }
               :: !conflicts)
-          cs
-      in
-      match synths.(List.hd ks) with
-      | S_route_map _ ->
-          let ps =
-            List.map
-              (fun k ->
-                match synths.(k) with
-                | S_route_map p -> p
-                | S_acl _ -> assert false)
-              ks
-          in
-          let target_map = Option.get (Config.Database.route_map db target) in
-          let sw =
-            Engine.Compare_route_policies.batch_insertions ?pool ~db
-              ~target:target_map
-              (List.map (fun p -> (snd p.synth.candidate).Naming.stanza) ps)
-          in
-          record ps
-            (Disambiguator.of_differences target_map)
-            sw.per_candidate sw.overlaps sw.conflicts
-            (fun d -> Route_witness d)
-      | S_acl _ ->
-          let ps =
-            List.map
-              (fun k ->
-                match synths.(k) with
-                | S_acl p -> p
-                | S_route_map _ -> assert false)
-              ks
-          in
-          let target_acl = Option.get (Config.Database.acl db target) in
-          let sw =
-            Engine.Compare_acls.batch_insertions ?pool ~target:target_acl
-              (List.map (fun p -> p.synth.candidate) ps)
-          in
-          record ps
-            (Acl_disambiguator.of_differences target_acl)
-            sw.per_candidate sw.overlaps sw.conflicts
-            (fun d -> Acl_witness d))
-    groups;
+          sw.conflicts)
+      (group_targets pendings)
+  in
+  sweep ~lookup:(Config.Database.route_map db)
+    ~family:(Engine.Compare_route_policies.family ~db)
+    ~of_differences:Disambiguator.of_differences
+    ~witness:(fun d -> Route_witness d)
+    ~entry:(fun p -> (snd p.synth.candidate).Naming.stanza)
+    route_maps;
+  sweep ~lookup:(Config.Database.acl db) ~family:Engine.Compare_acls.family
+    ~of_differences:Acl_disambiguator.of_differences
+    ~witness:(fun d -> Acl_witness d)
+    ~entry:(fun p -> p.synth.candidate)
+    acls;
   let conflicts =
     List.sort
       (fun a b ->
@@ -331,7 +304,7 @@ let sweep_groups ?pool ~db items synths =
         | c -> c)
       !conflicts
   in
-  (overlapping, conflicts, !overlap_pairs, List.length groups)
+  (overlapping, conflicts, !overlap_pairs, !groups)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 3: place every stanza, in input order                        *)
@@ -437,9 +410,19 @@ let run ?(max_attempts = default_max_attempts)
       in
       let synths = Array.of_list (List.rev synths_rev) in
       (* Phase 2: one engine sweep per target policy. *)
+      let route_maps, acls =
+        List.fold_right
+          (fun (k, it) (rms, acls) ->
+            let target = item_target it in
+            match synths.(k) with
+            | S_route_map p -> ((k, target, p) :: rms, acls)
+            | S_acl p -> (rms, (k, target, p) :: acls))
+          (List.mapi (fun k it -> (k, it)) items)
+          ([], [])
+      in
       let overlapping, conflicts, overlap_pairs, groups =
         Obs.with_span "batch_sweep" (fun () ->
-            sweep_groups ?pool ~db:db_all items synths)
+            sweep_groups ?pool ~db:db_all ~route_maps ~acls nitems)
       in
       emit_plan ~intents:nitems ~groups ~overlaps:overlap_pairs ~conflicts;
       (* Phase 3: place entries in input order. *)
@@ -543,10 +526,12 @@ type prefix_report = {
 
 (* Prefix-list entries are not LLM-synthesized, and the prefix
    disambiguator's boundary scan is interval arithmetic (no symbolic
-   compilation), so the batch here is the live sequential loop plus the
-   shared answer cache and the pairwise conflict graph: entry pairs
-   whose ranges share a matched prefix and whose actions differ, with
-   the overlap witness prefix. *)
+   compilation), so the batch here is the live sequential loop —
+   through the same [place] path, placement events and pipeline
+   counters as the other families — plus the shared answer cache and
+   the pairwise conflict graph: entry pairs whose ranges share a
+   matched prefix and whose actions differ, with the overlap witness
+   prefix. *)
 let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
     ~(oracle :
        intent:int ->
@@ -554,6 +539,7 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
        Prefix_list_disambiguator.question ->
        Disambig_common.answer) ~db items =
   Obs.with_span "pipeline.batch_prefix" @@ fun () ->
+  Obs.Counter.incr Pipeline.runs_counter;
   let nitems = List.length items in
   Obs.Counter.incr ~by:nitems Engine.Metrics.batch_intents;
   let t0 = Obs.now () in
@@ -592,38 +578,31 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
   Obs.Counter.incr ~by:(List.length conflicts) Engine.Metrics.batch_conflict_pairs;
   let result =
     try
-      let db_cur = ref db in
-      let states : (string, Config.Prefix_list.t) Hashtbl.t =
-        Hashtbl.create 4
-      in
+      let db_cur = ref db and states = Hashtbl.create 4 in
       let outcomes =
         List.mapi
           (fun k { target; entry } ->
-            let cur =
-              match Hashtbl.find_opt states target with
-              | Some pl -> pl
-              | None -> (
-                  match Config.Database.prefix_list !db_cur target with
-                  | Some pl -> pl
-                  | None -> fail k (Pipeline.Target_not_found target))
+            if Config.Database.prefix_list !db_cur target = None then
+              fail k (Pipeline.Target_not_found target);
+            let o =
+              place Prefix_list_disambiguator.family states
+                ~lookup:(Config.Database.prefix_list !db_cur)
+                ~mode ~fast:false
+                ~sweep:(fun policy ->
+                  Prefix_list_disambiguator.boundaries ~target:policy entry)
+                ~oracle:
+                  (cached_answer cache ~intent:k ~target
+                     Prefix_list_disambiguator.view (fun q ->
+                       oracle ~intent:k ~target q))
+                k ~target entry []
             in
-            let ask =
-              cached_answer cache ~intent:k ~target
-                Prefix_list_disambiguator.view (fun q ->
-                  oracle ~intent:k ~target q)
-            in
-            match
-              Prefix_list_disambiguator.run ~mode ~target:cur ~entry
-                ~oracle:ask ()
-            with
-            | Error (Prefix_list_disambiguator.Inconsistent_intent _) ->
-                fail k Pipeline.inconsistent
-            | Ok outcome ->
-                Hashtbl.replace states target
-                  outcome.Prefix_list_disambiguator.prefix_list;
-                db_cur :=
-                  Config.Database.add_prefix_list !db_cur outcome.prefix_list;
-                outcome)
+            db_cur := Config.Database.add_prefix_list !db_cur o.policy;
+            {
+              Prefix_list_disambiguator.prefix_list = o.policy;
+              position = o.position;
+              questions = o.questions;
+              boundaries = o.boundaries;
+            })
           items
       in
       Ok
@@ -635,5 +614,8 @@ let insert_prefix_list_entries ?(mode = Prefix_list_disambiguator.Binary_search)
         }
     with Abort e -> Error e
   in
+  (match result with
+  | Error _ -> Obs.Counter.incr Pipeline.errors_counter
+  | Ok _ -> ());
   Obs.Histogram.observe_ns Engine.Metrics.batch_ns ((Obs.now () -. t0) *. 1e9);
   result

@@ -3,9 +3,8 @@
     [run] takes N natural-language intents at once and produces exactly
     the configuration N sequential {!Pipeline} runs would — same final
     config, same questions — while compiling each target policy's
-    first-match partition once (via
-    {!Engine.Compare_route_policies.batch_insertions} /
-    {!Engine.Compare_acls.batch_insertions}) and deduplicating repeated
+    first-match partition once (one multi-candidate {!Engine.Sweep.run}
+    per target) and deduplicating repeated
     questions across intents with a shared
     {!Disambig_common.Answer_cache}. Genuine inter-intent conflicts are
     reported as edges of the pairwise conflict graph, each carrying a
@@ -80,7 +79,9 @@ val run :
 
     Prefix-list entries are not LLM-synthesized; their batch is the
     sequential disambiguation loop plus the shared answer cache and the
-    pairwise conflict graph over entry ranges. *)
+    pairwise conflict graph over entry ranges. Each entry emits a
+    [placement] event; the batch counts as one [pipeline.runs] (and one
+    [pipeline.errors] when it fails, e.g. with [Target_not_found]). *)
 
 type prefix_item = { target : string; entry : Config.Prefix_list.entry }
 

@@ -88,12 +88,13 @@ let of_differences (target : Config.Route_map.t) diffs =
 
 (* Boundary questions: position i differs from i+1 exactly on routes
    handled by original stanza i and matched by the new stanza. The
-   sweep itself lives in {!Engine.Compare_route_policies} so the target
-   is compiled once instead of once per position. *)
+   sweep itself is {!Engine.Sweep}, so the target is compiled once
+   instead of once per position. *)
 let boundaries ?pool ~db ~(target : Config.Route_map.t) stanza =
   Disambig_common.sweep family (fun () ->
       of_differences target
-        (Engine.Compare_route_policies.adjacent_insertions ?pool ~db ~target
+        (Engine.Sweep.boundaries ?pool
+           (Engine.Compare_route_policies.family ~db target)
            stanza))
 
 let run ?mode ?pool ?precomputed ~db ~target ~stanza ~oracle () =

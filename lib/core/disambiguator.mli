@@ -63,10 +63,11 @@ val boundaries :
   Config.Route_map.stanza ->
   question list
 (** All differing boundaries with their differential examples, in
-    position order, from one incremental sweep of
-    {!Engine.Compare_route_policies.adjacent_insertions}.
-    [?pool] fans contiguous position chunks across worker domains.
-    Exposed for tests and the evaluation harness. *)
+    position order, from a one-candidate {!Engine.Sweep} of
+    {!Engine.Compare_route_policies.family}. [?pool] compiles the
+    target once into a frozen base and lets worker domains steal
+    slices of positions. Exposed for tests and the evaluation
+    harness. *)
 
 val run :
   ?mode:mode ->

@@ -16,39 +16,12 @@ val compare : ?limit:int -> Config.Acl.t -> Config.Acl.t -> difference list
 val first_difference : Config.Acl.t -> Config.Acl.t -> difference option
 val equal_behavior : Config.Acl.t -> Config.Acl.t -> bool
 
-val adjacent_insertions :
-  ?pool:Parallel.Pool.t ->
-  target:Config.Acl.t ->
-  Config.Acl.rule ->
-  (int * difference) list
-(** Every insertion position [i] (0-based, ascending) at which inserting
-    the rule at [i] behaves differently from inserting it at [i + 1],
-    with one witness packet per position: one symbolic execution of the
-    target, one conjunction per position. The result equals the naive
-    per-position two-ACL comparison, which the test suite keeps as an
-    oracle. [~pool] splits positions into stealable slices over one
-    shared frozen execution; results are identical serial or pooled. *)
-
-type batch_sweep = {
-  per_candidate : (int * difference) list array;
-      (** candidate [k]'s boundary sweep against the original target,
-          exactly what {!adjacent_insertions} would return for it *)
-  overlaps : (int * int) list;
-      (** candidate pairs [i < j] whose match regions intersect *)
-  conflicts : (int * int * difference) list;
-      (** overlapping pairs with differing actions, with a witness
-          packet from the shared region *)
-}
-
-val batch_insertions :
-  ?pool:Parallel.Pool.t ->
-  target:Config.Acl.t ->
-  Config.Acl.rule list ->
-  batch_sweep
-(** Multi-rule sweep for batch synthesis: boundary sweeps for every
-    candidate plus the pairwise inter-intent overlap/conflict graph,
-    against one symbolic execution of [target] per worker chunk (one
-    total when serial). Increments {!Metrics.batch_conflict_pairs} by
-    the number of conflicts. *)
+val family : Config.Acl.t -> (Config.Acl.rule, difference) Sweep.family
+(** The ACL family of {!Sweep}, bound to a target ACL. A boundary
+    witness reports both rules at the resequenced seq [(i+1)*10]; a
+    conflict is an overlapping pair with different actions, its witness
+    packet taken from the shared region and its rules reported by their
+    own seqs. The packet space is context-free, so workers share the
+    compiled partition without forking anything. *)
 
 val pp_difference : Format.formatter -> difference -> unit

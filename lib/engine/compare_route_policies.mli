@@ -39,52 +39,25 @@ val equal_behavior :
   Config.Route_map.t ->
   bool
 
-val adjacent_insertions :
-  ?pool:Parallel.Pool.t ->
+val family :
   db:Config.Database.t ->
-  target:Config.Route_map.t ->
-  Config.Route_map.stanza ->
-  (int * difference) list
-(** Every insertion position [i] (0-based, ascending) at which inserting
-    the stanza at [i] behaves differently from inserting it at [i + 1],
-    with one witness route per position — the full boundary sweep the
-    disambiguators binary-search over.
+  Config.Route_map.t ->
+  (Config.Route_map.stanza, difference) Sweep.family
+(** The route-map family of {!Sweep}, bound to a target map whose
+    candidates' ancillary lists all live in [db]. The compiled context
+    covers the target plus every candidate of the sweep; each worker
+    task forks it for private as-path feasibility state. A boundary is
+    screened, sampled and replayed concretely exactly as {!compare}
+    would for the two placements, and reports both stanzas at the
+    resequenced seq [(i+1)*10]. A conflict is an overlapping pair
+    whose outcomes (action or set clauses) differ on a concrete route
+    of the shared region.
 
-    The sweep is incremental: the target map is symbolically executed
-    once and position [i]'s candidate region is
-    [cell_i.guard ∧ match(stanza)], so the whole sweep costs one
-    compilation instead of the naive [n] two-map comparisons. Its
-    result equals that naive per-position sweep of {!first_difference}
-    byte for byte; the test suite keeps the naive sweep as an oracle.
-
-    [~pool] splits the positions into stealable slices over one shared
-    frozen compilation; results are re-assembled in position order and
-    are identical serial or pooled. *)
-
-type batch_sweep = {
-  per_candidate : (int * difference) list array;
-      (** candidate [k]'s boundary sweep against the original target,
-          exactly what {!adjacent_insertions} would return for it *)
-  overlaps : (int * int) list;
-      (** candidate pairs [i < j] whose match regions intersect *)
-  conflicts : (int * int * difference) list;
-      (** overlapping pairs with genuinely different behaviour on some
-          shared route, with a differential witness *)
-}
-
-val batch_insertions :
-  ?pool:Parallel.Pool.t ->
-  db:Config.Database.t ->
-  target:Config.Route_map.t ->
-  Config.Route_map.stanza list ->
-  batch_sweep
-(** Multi-stanza sweep for batch synthesis: boundary sweeps for every
-    candidate plus the pairwise inter-intent overlap/conflict graph,
-    all against one compiled first-match partition of [target] (one
-    symbolic context serially; one per chunk under [~pool]). The
-    symbolic scope always includes every candidate, so witnesses are
-    independent of how the work is sharded. Increments
-    {!Metrics.batch_conflict_pairs} by the number of conflicts. *)
+    A one-candidate sweep's scope is the target plus that candidate, so
+    a candidate's boundaries in a multi-candidate sweep have the same
+    positions but, when another candidate widens the community universe
+    or the as-path lists in scope, may carry a different (equally
+    valid) witness route; [test_batch] pins one such case. *)
 
 val pp_difference : Format.formatter -> difference -> unit
 (** Rendered in the paper's OPTION 1 / OPTION 2 style. *)

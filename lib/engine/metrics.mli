@@ -8,8 +8,8 @@ val compare_route_policies_calls : Obs.Counter.t
 val compare_acls_calls : Obs.Counter.t
 
 val adjacent_insertions_calls : Obs.Counter.t
-(** Batch boundary sweeps: [adjacent_insertions] in either compare
-    module, and the naive test oracle's sweeps. *)
+(** Boundary sweeps: one per {!Sweep.run}, whatever its number of
+    candidates, and one per naive test-oracle sweep. *)
 
 val adjacent_contexts : Obs.Counter.t
 (** Symbolic contexts built during boundary discovery: the incremental
@@ -27,8 +27,8 @@ val batch_intents : Obs.Counter.t
 (** Intents processed by batch synthesis runs ({!Clarify.Batch}). *)
 
 val batch_conflict_pairs : Obs.Counter.t
-(** Genuine inter-intent conflict pairs found by the multi-stanza batch
-    sweeps ([batch_insertions] in either compare module). *)
+(** Genuine inter-intent conflict pairs found by multi-candidate
+    {!Sweep.run}s and by prefix-list batches. *)
 
 val batch_questions_saved : Obs.Counter.t
 (** Disambiguation questions a batch run served from its shared answer

@@ -417,10 +417,11 @@ let worker_main slot gen0 () =
       match joined with
       | None -> ()
       | Some b ->
-          if t_park >= 0. && Obs.enabled () then
-            Obs.Histogram.observe_ns (Lazy.force park_ns)
-              ((Obs.now () -. t_park) *. 1e9);
-          (try participate b slot
+          (try
+             if t_park >= 0. && Obs.enabled () then
+               Obs.Histogram.observe_ns (Lazy.force park_ns)
+                 ((Obs.now () -. t_park) *. 1e9);
+             participate b slot
            with _ ->
              (* Task exceptions are captured per task inside [b.run];
                 anything reaching here is a scheduler-infrastructure
@@ -438,6 +439,10 @@ let worker_main slot gen0 () =
    workers (slots 1..extra) that this process is missing; existing ones
    are reused, so parallel.domains_spawned stays flat across batches. *)
 let ensure_workers extra =
+  (* Workers observe [park_ns] concurrently; forcing a lazy from two
+     domains at once raises in one of them and kills that worker, so it
+     is forced here, before any worker exists. *)
+  ignore (Lazy.force park_ns);
   while !workers_spawned < extra do
     incr workers_spawned;
     let slot = !workers_spawned in

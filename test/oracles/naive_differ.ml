@@ -2,10 +2,10 @@
    oracle for the incremental sweeps in lib/. For every insertion
    position i it builds the two placements i and i+1 and diffs them
    whole, so a sweep costs n full comparisons instead of one
-   compilation. [Engine.Compare_route_policies.adjacent_insertions],
-   [Engine.Compare_acls.adjacent_insertions] and
-   [Clarify.Prefix_list_disambiguator.boundaries] must return exactly
-   what these functions return. *)
+   compilation. [Engine.Sweep.boundaries] over
+   [Engine.Compare_route_policies.family] and [Engine.Compare_acls.family],
+   and [Clarify.Prefix_list_disambiguator.boundaries], must return
+   exactly what these functions return. *)
 
 module Metrics = Engine.Metrics
 

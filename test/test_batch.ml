@@ -51,19 +51,21 @@ ip community-list expanded GOLD permit _300:3_
 
 let gen_action = QCheck.Gen.oneofl [ Action.Permit; Action.Deny ]
 
-let gen_existing_map =
+(* Match clauses over the shared lists of [base_lists]. *)
+let gen_matches =
+  QCheck.Gen.oneofl
+    [
+      [ Route_map.Match_prefix_list [ "WIDE" ] ];
+      [ Route_map.Match_prefix_list [ "NARROW" ] ];
+      [ Route_map.Match_prefix_list [ "OTHER" ] ];
+      [ Route_map.Match_as_path [ "FROM32" ] ];
+      [ Route_map.Match_community [ "GOLD" ] ];
+      [ Route_map.Match_local_pref 300 ];
+    ]
+
+let gen_map_of ~max =
   QCheck.Gen.(
-    list_size (int_range 1 3)
-      (pair gen_action
-         (oneofl
-            [
-              [ Route_map.Match_prefix_list [ "WIDE" ] ];
-              [ Route_map.Match_prefix_list [ "NARROW" ] ];
-              [ Route_map.Match_prefix_list [ "OTHER" ] ];
-              [ Route_map.Match_as_path [ "FROM32" ] ];
-              [ Route_map.Match_community [ "GOLD" ] ];
-              [ Route_map.Match_local_pref 300 ];
-            ]))
+    list_size (int_range 1 max) (pair gen_action gen_matches)
     >>= fun stanzas ->
     return
       (Route_map.make "TARGET"
@@ -71,6 +73,8 @@ let gen_existing_map =
             (fun i (action, matches) ->
               Route_map.stanza ~seq:((i + 1) * 10) ~matches action)
             stanzas)))
+
+let gen_existing_map = gen_map_of ~max:3
 
 (* Community- and as-path-free intents: batch fast-path boundaries must
    be byte-identical to sequential ones, and extra candidates in the
@@ -174,9 +178,9 @@ let prop_rm_batch_equals_sequential ~pooled ~count =
 (* ACL scenarios                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let gen_existing_acl =
+let gen_acl_of ~max =
   QCheck.Gen.(
-    list_size (int_range 1 4)
+    list_size (int_range 1 max)
       (oneofl
          [
            Acl.rule ~protocol:Packet.Tcp ~dst_port:(Acl.Eq 23) Action.Deny;
@@ -194,6 +198,8 @@ let gen_existing_acl =
     return
       (Acl.make "FW"
          (List.mapi (fun i (r : Acl.rule) -> { r with seq = (i + 1) * 10 }) rules)))
+
+let gen_existing_acl = gen_acl_of ~max:4
 
 let gen_acl_intent =
   QCheck.Gen.(
@@ -261,76 +267,6 @@ let prop_acl_batch_equals_sequential ~pooled ~count =
       let report, batch_qs = batch_acls ~pooled db prompts in
       config_string report.B.db = config_string db_seq
       && same_multiset batch_qs seq_qs)
-
-(* ------------------------------------------------------------------ *)
-(* Answers are honoured                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Every question a batch asked must be honoured by the policy that
-   intent's own placement produced (later intents may change it
-   legitimately). The user prefers the new entry exactly at positions
-   at or past a per-target threshold — the answers of an intent one
-   insertion realizes — so a question served from the answer cache
-   gets the answer this user would give. Route-map and ACL intents
-   alternate in one batch, in Binary_search or Linear mode. *)
-let prop_batch_answers_honoured ~count =
-  QCheck.Test.make ~name:"batch placements honour every answer" ~count
-    QCheck.(
-      triple
-        (pair arb_rm_scenario arb_acl_scenario)
-        (pair (int_bound 4) (int_bound 5))
-        bool)
-    (fun (((rm, rm_intents), (acl, acl_intents)), (rm_at, acl_at), linear) ->
-      let db = Database.add_acl (rm_setup rm) acl in
-      let rec alternate xs ys =
-        match (xs, ys) with
-        | x :: xs, y :: ys -> x :: y :: alternate xs ys
-        | rest, [] | [], rest -> rest
-      in
-      let items =
-        alternate
-          (List.map
-             (fun i ->
-               B.Route_map_update
-                 { target = "TARGET"; prompt = I.to_prompt (I.Route_map i) })
-             rm_intents)
-          (List.map
-             (fun i -> B.Acl_update { target = "FW"; prompt = I.to_prompt i })
-             acl_intents)
-      in
-      let answer position at = if position >= at then DC.Prefer_new else DC.Prefer_old in
-      let oracle ~intent:_ ~target:_ = function
-        | B.Route_map_q q -> answer q.D.position rm_at
-        | B.Acl_q q -> answer q.AD.position acl_at
-      in
-      let mode = if linear then DC.Linear else DC.Binary_search in
-      match
-        B.run ~rm_mode:mode ~acl_mode:mode ~llm:(Llm.Mock_llm.create ()) ~oracle
-          ~db items
-      with
-      | Error e -> QCheck.Test.fail_reportf "batch: %s" (B.error_to_string e)
-      | Ok r ->
-          List.for_all
-            (function
-              | B.Route_map_result rr ->
-                  List.for_all
-                    (fun (q : D.question) ->
-                      Semantics.route_result_equal
-                        (match answer q.position rm_at with
-                        | DC.Prefer_new -> q.if_new_first
-                        | DC.Prefer_old -> q.if_old_first)
-                        (Semantics.eval_route_map rr.P.db rr.P.map q.route))
-                    rr.P.questions
-              | B.Acl_result ar ->
-                  List.for_all
-                    (fun (q : AD.question) ->
-                      Action.equal
-                        (match answer q.position acl_at with
-                        | DC.Prefer_new -> q.if_new_first
-                        | DC.Prefer_old -> q.if_old_first)
-                        (Semantics.eval_acl ar.P.acl q.packet))
-                    ar.P.questions)
-            r.B.items)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix-list scenarios                                              *)
@@ -410,6 +346,195 @@ let prop_prefix_batch_equals_sequential ~count =
           Format.asprintf "%a" Prefix_list.pp final
           = Format.asprintf "%a" Prefix_list.pp seq_pl
           && same_multiset batch_qs seq_qs)
+
+(* ------------------------------------------------------------------ *)
+(* Answers are honoured                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every question a batch asked must be honoured by the policy that
+   intent's own placement produced (later intents may change it
+   legitimately). The user prefers the new entry exactly at positions
+   at or past a per-target threshold — the answers of an intent one
+   insertion realizes — so a question served from the answer cache
+   gets the answer this user would give. Route-map and ACL intents
+   alternate in one batch, and a prefix-list batch runs beside it, in
+   Binary_search or Linear mode. *)
+let prop_batch_answers_honoured ~count =
+  QCheck.Test.make ~name:"batch placements honour every answer" ~count
+    QCheck.(
+      triple
+        (triple arb_rm_scenario arb_acl_scenario arb_prefix_scenario)
+        (triple (int_bound 4) (int_bound 5) (int_bound 5))
+        bool)
+    (fun ( ((rm, rm_intents), (acl, acl_intents), (pl, pl_entries)),
+           (rm_at, acl_at, pl_at),
+           linear ) ->
+      let db = Database.add_acl (rm_setup rm) acl in
+      let rec alternate xs ys =
+        match (xs, ys) with
+        | x :: xs, y :: ys -> x :: y :: alternate xs ys
+        | rest, [] | [], rest -> rest
+      in
+      let items =
+        alternate
+          (List.map
+             (fun i ->
+               B.Route_map_update
+                 { target = "TARGET"; prompt = I.to_prompt (I.Route_map i) })
+             rm_intents)
+          (List.map
+             (fun i -> B.Acl_update { target = "FW"; prompt = I.to_prompt i })
+             acl_intents)
+      in
+      let answer position at = if position >= at then DC.Prefer_new else DC.Prefer_old in
+      let oracle ~intent:_ ~target:_ = function
+        | B.Route_map_q q -> answer q.D.position rm_at
+        | B.Acl_q q -> answer q.AD.position acl_at
+      in
+      let mode = if linear then DC.Linear else DC.Binary_search in
+      let prefixes_honoured =
+        let items =
+          List.map
+            (fun (action, range) ->
+              { B.target = "PL"; entry = Prefix_list.entry ~action range })
+            pl_entries
+        in
+        match
+          B.insert_prefix_list_entries ~mode
+            ~oracle:(fun ~intent:_ ~target:_ (q : PD.question) ->
+              answer q.position pl_at)
+            ~db:(Database.add_prefix_list Database.empty pl)
+            items
+        with
+        | Error e -> QCheck.Test.fail_reportf "batch: %s" (B.error_to_string e)
+        | Ok r ->
+            List.for_all
+              (fun (o : PD.outcome) ->
+                List.for_all
+                  (fun (q : PD.question) ->
+                    Action.equal
+                      (match answer q.position pl_at with
+                      | DC.Prefer_new -> q.if_new_first
+                      | DC.Prefer_old -> q.if_old_first)
+                      (Option.value ~default:Action.Deny
+                         (Prefix_list.eval o.PD.prefix_list q.prefix)))
+                  o.PD.questions)
+              r.B.outcomes
+      in
+      prefixes_honoured
+      &&
+      match
+        B.run ~rm_mode:mode ~acl_mode:mode ~llm:(Llm.Mock_llm.create ()) ~oracle
+          ~db items
+      with
+      | Error e -> QCheck.Test.fail_reportf "batch: %s" (B.error_to_string e)
+      | Ok r ->
+          List.for_all
+            (function
+              | B.Route_map_result rr ->
+                  List.for_all
+                    (fun (q : D.question) ->
+                      Semantics.route_result_equal
+                        (match answer q.position rm_at with
+                        | DC.Prefer_new -> q.if_new_first
+                        | DC.Prefer_old -> q.if_old_first)
+                        (Semantics.eval_route_map rr.P.db rr.P.map q.route))
+                    rr.P.questions
+              | B.Acl_result ar ->
+                  List.for_all
+                    (fun (q : AD.question) ->
+                      Action.equal
+                        (match answer q.position acl_at with
+                        | DC.Prefer_new -> q.if_new_first
+                        | DC.Prefer_old -> q.if_old_first)
+                        (Semantics.eval_acl ar.P.acl q.packet))
+                    ar.P.questions)
+            r.B.items)
+
+(* ------------------------------------------------------------------ *)
+(* A batch sweep is k one-candidate sweeps                            *)
+(* ------------------------------------------------------------------ *)
+
+let comm = Bgp.Community.make
+
+(* Candidate stanzas drawn straight from the shared lists, so every
+   community a candidate mentions is already in the target's universe
+   (see the pinned widening case below for one that is not). Targets
+   run past 8 entries, so pooled sweeps cut them into several
+   slices. *)
+let gen_candidate_stanza =
+  QCheck.Gen.(
+    gen_action >>= fun action ->
+    gen_matches >>= fun matches ->
+    oneofl
+      [
+        [];
+        [ Route_map.Set_metric 55 ];
+        [ Route_map.Set_local_pref 200 ];
+        [
+          Route_map.Set_community
+            { communities = [ comm 300 3 ]; additive = true };
+        ];
+      ]
+    >>= fun sets -> return (Route_map.stanza ~seq:5 ~matches ~sets action))
+
+let arb_rm_candidates =
+  QCheck.make
+    ~print:(fun (rm, stanzas) ->
+      Format.asprintf "%a@.+%a" Route_map.pp rm Route_map.pp
+        (Route_map.make "CANDIDATES"
+           (List.mapi (fun i s -> { s with Route_map.seq = i + 1 }) stanzas)))
+    QCheck.Gen.(
+      pair (gen_map_of ~max:20) (list_size (int_range 2 4) gen_candidate_stanza))
+
+let arb_acl_candidates =
+  QCheck.make
+    ~print:(fun (acl, rules) ->
+      Format.asprintf "%a@.+%a" Acl.pp acl Acl.pp (Acl.make "CANDIDATES" rules))
+    QCheck.Gen.(
+      pair (gen_acl_of ~max:20)
+        (list_size (int_range 2 4)
+           ( gen_action >>= fun action ->
+             oneofl [ Packet.Tcp; Packet.Udp ] >>= fun protocol ->
+             oneofl [ Acl.Any; Acl.addr_of_prefix (pfx "10.20.0.0/16") ]
+             >>= fun src ->
+             oneofl
+               [ Acl.Any_port; Acl.Eq 23; Acl.Eq 53; Acl.Range (8000, 8080) ]
+             >>= fun dst_port ->
+             return (Acl.rule ~protocol ~src ~dst_port action) )))
+
+(* [per_candidate.(c)] of a k-candidate sweep must be candidate c's
+   one-candidate sweep, compared as positions plus rendered question
+   views. *)
+let per_candidate_is_single ~family ~views ~pool target candidates =
+  let sw = Engine.Sweep.run ?pool (family target) candidates in
+  List.for_all2
+    (fun batch c ->
+      views target batch
+      = views target (Engine.Sweep.boundaries ?pool (family target) c))
+    (Array.to_list sw.Engine.Sweep.per_candidate)
+    candidates
+
+let prop_batch_sweep_is_single ~pooled ~count =
+  let pool = get_pool pooled and mode = if pooled then "pooled" else "serial" in
+  [
+    QCheck.Test.make
+      ~name:(Printf.sprintf "route-map batch sweep == single sweeps (%s)" mode)
+      ~count arb_rm_candidates
+      (fun (rm, stanzas) ->
+        let db = rm_setup rm in
+        per_candidate_is_single ~pool
+          ~family:(Engine.Compare_route_policies.family ~db)
+          ~views:(fun t bs -> List.map D.view (D.of_differences t bs))
+          rm stanzas);
+    QCheck.Test.make
+      ~name:(Printf.sprintf "acl batch sweep == single sweeps (%s)" mode)
+      ~count arb_acl_candidates
+      (fun (acl, rules) ->
+        per_candidate_is_single ~pool ~family:Engine.Compare_acls.family
+          ~views:(fun t bs -> List.map AD.view (AD.of_differences t bs))
+          acl rules);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Pinned cases                                                       *)
@@ -525,6 +650,48 @@ let test_conflict_free_single_context () =
     "zero inter-intent questions" true
     (same_multiset batch_qs seq_qs)
 
+(* The one place a batch sweep is not k one-candidate sweeps: a
+   route-map sweep's symbolic scope covers every candidate, so another
+   candidate's as-path list adds an atom the witness must also decide.
+   The boundary positions agree; the witness route differs (both are
+   valid): [32] alone, [0, 32] once ^32$ is in scope and kept false. *)
+let test_scope_widening_changes_witness () =
+  let db =
+    Parser.parse_exn
+      {|ip prefix-list WIDE permit 10.0.0.0/8 le 24
+ip as-path access-list FROM32 permit _32$
+ip as-path access-list ONLY32 permit ^32$
+|}
+  in
+  let target =
+    Route_map.make "T"
+      [
+        Route_map.stanza ~seq:10
+          ~matches:[ Route_map.Match_as_path [ "FROM32" ] ]
+          Action.Deny;
+      ]
+  in
+  let db = Database.add_route_map db target in
+  let stanza matches = Route_map.stanza ~seq:5 ~matches Action.Permit in
+  let a = stanza [ Route_map.Match_prefix_list [ "WIDE" ] ] in
+  let b = stanza [ Route_map.Match_as_path [ "ONLY32" ] ] in
+  let family = Engine.Compare_route_policies.family ~db target in
+  let paths bs =
+    List.map
+      (fun (i, (d : Engine.Compare_route_policies.difference)) ->
+        (i, d.route.Bgp.Route.as_path))
+      bs
+  in
+  let single = paths (Engine.Sweep.boundaries family a) in
+  let batch =
+    paths (Engine.Sweep.run family [ a; b ]).Engine.Sweep.per_candidate.(0)
+  in
+  let check = Alcotest.(check (list (list int))) in
+  Alcotest.(check (list int))
+    "same positions" (List.map fst single) (List.map fst batch);
+  check "single-sweep witness" [ [ 32 ] ] (List.map snd single);
+  check "batch-sweep witness" [ [ 0; 32 ] ] (List.map snd batch)
+
 (* Satellite regression: the shared answer cache keys on the policy AND
    the question's coordinates, never on the rendered text alone. *)
 let test_answer_cache_dedup () =
@@ -596,6 +763,54 @@ let test_cache_saves_repeated_questions () =
         (asked - r.B.questions_saved)
         !consulted
 
+(* A prefix-list batch records like the other families: one placement
+   event per entry and one pipeline run; a missing list is still
+   [Target_not_found] and counts as a pipeline error. *)
+let test_prefix_batch_records () =
+  let pl =
+    Prefix_list.make "PL"
+      [
+        Prefix_list.entry ~seq:10 ~action:Action.Permit
+          (Netaddr.Prefix_range.make (pfx "10.0.0.0/8") ~ge:None ~le:(Some 24));
+      ]
+  in
+  let db = Database.add_prefix_list Database.empty pl in
+  let entry action le =
+    Prefix_list.entry ~action
+      (Netaddr.Prefix_range.make (pfx "10.0.0.0/8") ~ge:None ~le:(Some le))
+  in
+  let items =
+    List.map
+      (fun e -> { B.target = "PL"; entry = e })
+      [ entry Action.Deny 16; entry Action.Permit 20; entry Action.Deny 12 ]
+  in
+  let oracle ~intent:_ ~target:_ _ = DC.Prefer_new in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let runs = Obs.Counter.value P.runs_counter in
+  let errors = Obs.Counter.value P.errors_counter in
+  let result, events =
+    Telemetry.with_memory_recorder (fun () ->
+        B.insert_prefix_list_entries ~oracle ~db items)
+  in
+  (match result with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "batch failed: %s" (B.error_to_string e));
+  check_int "one placement event per entry" (List.length items)
+    (List.length
+       (List.filter
+          (fun (e : Telemetry.Event.t) -> e.kind = "placement")
+          events));
+  check_int "one pipeline run" 1 (Obs.Counter.value P.runs_counter - runs);
+  (match
+     B.insert_prefix_list_entries ~oracle ~db
+       [ { B.target = "NOPE"; entry = entry Action.Deny 16 } ]
+   with
+  | Error { B.intent = 0; reason = P.Target_not_found "NOPE" } -> ()
+  | _ -> Alcotest.fail "missing prefix list is not Target_not_found");
+  check_int "the failed run counts as an error" 1
+    (Obs.Counter.value P.errors_counter - errors)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "batch"
@@ -609,15 +824,23 @@ let () =
           q (prop_prefix_batch_equals_sequential ~count:200);
         ] );
       ("honoured", [ q (prop_batch_answers_honoured ~count:100) ]);
+      ( "sweep",
+        List.map q
+          (prop_batch_sweep_is_single ~pooled:false ~count:200
+          @ prop_batch_sweep_is_single ~pooled:true ~count:60) );
       ( "pinned",
         [
           Alcotest.test_case "conflicting ACL pair with witness" `Quick
             test_pinned_acl_conflict;
           Alcotest.test_case "conflict-free batch, one context" `Quick
             test_conflict_free_single_context;
+          Alcotest.test_case "scope widening changes a witness" `Quick
+            test_scope_widening_changes_witness;
           Alcotest.test_case "answer cache keyed on policy+position" `Quick
             test_answer_cache_dedup;
           Alcotest.test_case "cache saves repeated questions" `Quick
             test_cache_saves_repeated_questions;
+          Alcotest.test_case "prefix-list batch records placements" `Quick
+            test_prefix_batch_records;
         ] );
     ]

@@ -128,8 +128,10 @@ let test_route_map_equivalence () =
     if case mod 3 = 0 then
       check_rm_modes ~case ~db ~target ~stanza ~naive_bs:naive;
     if case mod 10 = 0 then begin
-      let serial = Crp.adjacent_insertions ~db ~target stanza in
-      let pooled = Crp.adjacent_insertions ~pool ~db ~target stanza in
+      let serial = Engine.Sweep.boundaries (Crp.family ~db target) stanza in
+      let pooled =
+        Engine.Sweep.boundaries ~pool (Crp.family ~db target) stanza
+      in
       let pooled_naive =
         Naive_differ.route_map_insertions ~pool ~db ~target stanza
       in
@@ -252,8 +254,8 @@ let test_acl_equivalence () =
       incr;
     if case mod 3 = 0 then check_acl_modes ~case ~target ~rule ~naive_bs:naive;
     if case mod 10 = 0 then begin
-      let serial = Ca.adjacent_insertions ~target rule in
-      let pooled = Ca.adjacent_insertions ~pool ~target rule in
+      let serial = Engine.Sweep.boundaries (Ca.family target) rule in
+      let pooled = Engine.Sweep.boundaries ~pool (Ca.family target) rule in
       let pooled_naive = Naive_differ.acl_insertions ~pool ~target rule in
       let render (i, (d : Ca.difference)) =
         Format.asprintf "%d: %a" i Ca.pp_difference d

@@ -108,6 +108,87 @@ let prop_route_map_references_survive =
       && List.sort compare (Config.Database.all_names db')
          = List.sort compare (Config.Database.all_names db))
 
+(* --- Parser totality ---------------------------------------------- *)
+
+(* Mutated inputs — bytes replaced, ranges dropped or duplicated,
+   syntax fragments spliced in, tails cut — must come back from every
+   parser as [Ok] or [Error], never as an exception. *)
+
+let fragments =
+  [| "permit"; "deny"; " le "; " ge "; "/"; "."; "-"; ":"; "_"; "^"; "$";
+     "\n"; "\n "; "{"; "}"; "["; "]"; ","; "\""; "\\u"; "\\"; "99999999999";
+     "-1"; "0"; "seq"; "match"; "set"; "any"; "eq"; "range"; "host";
+     "to"; "from"; "prefix"; "community"; "local preference"; "e9"; "null";
+     "true"; "\000"; "\255" |]
+
+let mutate rng text =
+  let n = String.length text in
+  let at () = if n = 0 then 0 else Random.State.int rng (n + 1) in
+  match Random.State.int rng 5 with
+  | 0 when n > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Random.State.int rng n)
+        (Char.chr (Random.State.int rng 256));
+      Bytes.to_string b
+  | 1 ->
+      let i = at () in
+      let j = min n (i + Random.State.int rng 16) in
+      String.sub text 0 i ^ String.sub text j (n - j)
+  | 2 ->
+      let i = at () in
+      let j = min n (i + Random.State.int rng 32) in
+      String.sub text 0 j ^ String.sub text i (n - i)
+  | 3 ->
+      let i = at () in
+      String.sub text 0 i
+      ^ fragments.(Random.State.int rng (Array.length fragments))
+      ^ String.sub text i (n - i)
+  | _ -> String.sub text 0 (at ())
+
+let json_seed =
+  Json.to_string
+    (Json.Obj
+       [
+         ("kind", Json.String "question");
+         ("seq", Json.Int 3);
+         ("ok", Json.Bool true);
+         ("fields", Json.List [ Json.String "a\"b"; Json.Int (-7); Json.Null ]);
+       ])
+
+let nl_seeds =
+  [
+    (`Route_map, Evaluation.E1_running_example.prompt);
+    ( `Acl,
+      "Write an access list rule that denies tcp traffic from 10.20.0.0/16 \
+       to any destination with destination port 22." );
+  ]
+
+let arb_mutated seeds =
+  QCheck.make ~print:(fun (_, s) -> String.escaped s)
+    QCheck.Gen.(
+      let* seed = oneofl seeds and* rng = gen_rng and* k = int_range 1 4 in
+      let rec go k s = if k = 0 then s else go (k - 1) (mutate rng s) in
+      return (fst seed, go k (snd seed)))
+
+let total ~name seeds parse =
+  QCheck.Test.make ~count:1000 ~name (arb_mutated seeds) (fun (kind, input) ->
+      match parse kind input with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e)
+            input)
+
+let totality =
+  [
+    total ~name:"config parser is total"
+      [ ((), Evaluation.E1_running_example.isp_out_config) ]
+      (fun () s -> Result.map ignore (Config.Parser.parse s));
+    total ~name:"json parser is total" [ ((), json_seed) ] (fun () s ->
+        Result.map ignore (Json.parse s));
+    total ~name:"nl parser is total" nl_seeds (fun kind s ->
+        Result.map ignore (Llm.Nl_parser.parse kind s));
+  ]
+
 let () =
   Alcotest.run "roundtrip"
     [
@@ -119,4 +200,8 @@ let () =
             prop_route_map_roundtrip;
             prop_route_map_references_survive;
           ] );
+      ( "totality",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x70741 |]))
+          totality );
     ]

@@ -121,7 +121,9 @@ let test_stress_boundaries_identical () =
     (fun naive ->
       let sweep ?pool () =
         if naive then Naive_differ.acl_insertions ?pool ~target rule
-        else Engine.Compare_acls.adjacent_insertions ?pool ~target rule
+        else
+          Engine.Sweep.boundaries ?pool (Engine.Compare_acls.family target)
+            rule
       in
       let serial = sweep () in
       let pooled = sweep ~pool () in
@@ -146,16 +148,19 @@ let test_stress_batch_identical () =
     | _ -> Alcotest.fail "corpus too small"
   in
   let pool = Parallel.Pool.create ~domains:4 () in
-  let view (s : Engine.Compare_acls.batch_sweep) =
+  let view (s : _ Engine.Sweep.t) =
     (Array.to_list s.per_candidate, s.overlaps, s.conflicts)
   in
-  let serial = view (Engine.Compare_acls.batch_insertions ~target rules) in
+  let serial =
+    view (Engine.Sweep.run (Engine.Compare_acls.family target) rules)
+  in
   let pooled =
-    view (Engine.Compare_acls.batch_insertions ~pool ~target rules)
+    view (Engine.Sweep.run ~pool (Engine.Compare_acls.family target) rules)
   in
   let stressed =
     with_stress (fun () ->
-        view (Engine.Compare_acls.batch_insertions ~pool ~target rules))
+        view
+          (Engine.Sweep.run ~pool (Engine.Compare_acls.family target) rules))
   in
   check_bool "pooled batch identical" true (serial = pooled);
   check_bool "steal-stress batch identical" true (serial = stressed)
@@ -205,7 +210,9 @@ let test_nested_submission () =
   in
   let pool = Parallel.Pool.create ~domains:4 () in
   let shard _i =
-    let s = Engine.Compare_acls.batch_insertions ~pool ~target rules in
+    let s =
+      Engine.Sweep.run ~pool (Engine.Compare_acls.family target) rules
+    in
     (Array.to_list s.per_candidate, s.overlaps, s.conflicts)
   in
   let serial = shard 0 in
